@@ -1,8 +1,8 @@
 """Command-line entry points: reproducible experiments and artifact I/O.
 
 Every command resolves its configuration (an optional JSON config file plus
-flag overrides), writes a manifest echoing the fully resolved config next to
-its main artifact, runs the pipeline, and exits with:
+flag overrides), validates all of it, writes a manifest echoing the fully
+resolved config next to its main artifact, runs the pipeline, and exits with:
 
     0  all checks PASS / run completed,
     2  configuration or schema violation,
@@ -18,6 +18,7 @@ from __future__ import annotations
 import argparse
 import json
 import sys
+from contextlib import contextmanager
 from pathlib import Path
 
 import numpy as np
@@ -36,17 +37,14 @@ from .evolve import (
     EvolveConfig,
     analytic_potential,
     evolve_and_monitor,
-    from_half_wave,
     picard_iterate,
     records_to_csv,
     spatial_errors,
-    step_half_wave,
     temporal_order,
-    to_half_wave,
 )
 from .identities import run_identity_suite
 from .spectral import TorusGrid, write_snapshot
-from .ym import constraint_residuals, energy, project_gauss_data, state_from_potential
+from .ym import project_gauss_data, state_from_potential
 
 IDENTITY_TOL = 1e-10
 
@@ -105,6 +103,8 @@ def _resolve(args: argparse.Namespace, keys: list[str]) -> dict:
             resolved[k] = val
         else:
             resolved[k] = defaults[k]
+    if resolved.get("seed", 0) < 0:
+        raise ConfigError("seed must be nonnegative")
     return resolved
 
 
@@ -137,18 +137,39 @@ def _emit_reports(reports, out_path):
     return all_pass
 
 
+@contextmanager
+def _validating():
+    """Report a ValueError raised while building the config as ConfigError."""
+    try:
+        yield
+    except ValueError as exc:
+        raise ConfigError(str(exc)) from exc
+
+
+def _require(ok: bool, message: str):
+    if not ok:
+        raise ConfigError(message)
+
+
+def _require_steps(cfg: dict):
+    _require(cfg["dt"] > 0 and int(round(cfg["t_end"] / cfg["dt"])) >= 1,
+             "dt must be positive and t_end at least one step dt")
+
+
 # --- commands -------------------------------------------------------------
 
 def cmd_simulate(args) -> int:
     keys = ["algebra", "n", "grid", "dt", "t_end", "scale", "seed",
             "stepper", "monitor_every", "out", "snapshot_every", "project"]
     cfg = _resolve(args, keys)
-    spec = _algebra(cfg["algebra"], cfg["n"])
-    grid = TorusGrid(cfg["grid"])
-    evolve_cfg = EvolveConfig(
-        dt=cfg["dt"], t_end=cfg["t_end"], stepper=cfg["stepper"],
-        monitor_every=cfg["monitor_every"],
-    )
+    with _validating():
+        spec = _algebra(cfg["algebra"], cfg["n"])
+        grid = TorusGrid(cfg["grid"])
+        evolve_cfg = EvolveConfig(
+            dt=cfg["dt"], t_end=cfg["t_end"], stepper=cfg["stepper"],
+            monitor_every=cfg["monitor_every"],
+        )
+    _require(cfg["snapshot_every"] >= 0, "snapshot_every must be nonnegative")
     _write_manifest(cfg["out"], "simulate", cfg)
     a, a_dot = analytic_potential(spec, grid, cfg["seed"], cfg["scale"])
     if cfg["project"] and cfg["scale"] > 0:
@@ -167,31 +188,8 @@ def cmd_simulate(args) -> int:
         with open(path, "wb") as fh:
             write_snapshot(fh, [c.value for c in comps])
 
-    if evolve_cfg.stepper == "RK4":
-        records = evolve_and_monitor(state, evolve_cfg, on_record=snap)
-        records_to_csv(records, cfg["out"])
-    else:
-        from .evolve import DiagnosticsRecord
-
-        hw = to_half_wave(state)
-        steps = int(round(evolve_cfg.t_end / evolve_cfg.dt))
-        records = []
-
-        def record(t, st):
-            lorenz, gauss, compat = constraint_residuals(st)
-            records.append(
-                DiagnosticsRecord(t, energy(st), lorenz, gauss, compat, 0.0)
-            )
-
-        record(0.0, state)
-        snap(0, state)
-        for j in range(steps):
-            hw = step_half_wave(spec, grid, hw, evolve_cfg.dt, evolve_cfg.stepper)
-            if (j + 1) % evolve_cfg.monitor_every == 0 or j == steps - 1:
-                st = from_half_wave(spec, grid, hw)
-                record((j + 1) * evolve_cfg.dt, st)
-                snap(j + 1, st)
-        records_to_csv(records, cfg["out"])
+    records = evolve_and_monitor(state, evolve_cfg, on_record=snap)
+    records_to_csv(records, cfg["out"])
     print(f"wrote {cfg['out']} ({len(records)} records)")
     return EXIT_OK
 
@@ -199,7 +197,11 @@ def cmd_simulate(args) -> int:
 def cmd_check_identities(args) -> int:
     keys = ["algebra", "n", "seeds", "scale", "modes", "out"]
     cfg = _resolve(args, keys)
-    spec = _algebra(cfg["algebra"], cfg["n"])
+    with _validating():
+        spec = _algebra(cfg["algebra"], cfg["n"])
+    _require(cfg["seeds"] >= 1 and cfg["modes"] >= 1,
+             "seeds and modes must be at least 1")
+    _require(cfg["scale"] >= 0, "scale must be nonnegative")
     _write_manifest(cfg["out"], "check-identities", cfg)
     results = run_identity_suite(
         spec, seeds=range(cfg["seeds"]), scale=cfg["scale"], modes=cfg["modes"]
@@ -221,13 +223,14 @@ def cmd_check_identities(args) -> int:
 def cmd_check_symbols(args) -> int:
     keys = ["count", "seed", "r_exponent", "radius_min", "radius_max", "out"]
     cfg = _resolve(args, keys)
+    with _validating():
+        sample_cfg = SampleConfig(
+            count=cfg["count"],
+            radius_range=(cfg["radius_min"], cfg["radius_max"]),
+            rng_seed=cfg["seed"],
+            r_exponent=cfg["r_exponent"],
+        )
     _write_manifest(cfg["out"], "check-symbols", cfg)
-    sample_cfg = SampleConfig(
-        count=cfg["count"],
-        radius_range=(cfg["radius_min"], cfg["radius_max"]),
-        rng_seed=cfg["seed"],
-        r_exponent=cfg["r_exponent"],
-    )
     reports = run_symbol_suite(sample_cfg)
     return EXIT_OK if _emit_reports(reports, cfg["out"]) else EXIT_NUMERICAL
 
@@ -236,15 +239,19 @@ def cmd_check_estimates(args) -> int:
     keys = ["count", "seed", "r_exponent", "grid", "estimate_ids", "s", "l",
             "trials", "sweep_count", "out"]
     cfg = _resolve(args, keys)
-    _write_manifest(cfg["out"], "check-estimates", cfg)
-    ids = [int(x) for x in str(cfg["estimate_ids"]).split(",") if x]
+    with _validating():
+        ids = [int(x) for x in str(cfg["estimate_ids"]).split(",") if x]
+        sample_cfg = SampleConfig(
+            count=max(cfg["count"], 1), rng_seed=cfg["seed"],
+            r_exponent=cfg["r_exponent"],
+        )
+        TorusGrid(cfg["grid"])
     bad = [i for i in ids if i not in ESTIMATE_IDS]
-    if bad:
-        raise ConfigError(f"unknown estimate ids {bad}; valid: {list(ESTIMATE_IDS)}")
-    sample_cfg = SampleConfig(
-        count=max(cfg["count"], 1), rng_seed=cfg["seed"],
-        r_exponent=cfg["r_exponent"],
-    )
+    _require(bool(ids), "no estimate ids")
+    _require(not bad, f"unknown estimate ids {bad}; valid: {list(ESTIMATE_IDS)}")
+    _require(cfg["trials"] >= 1 and cfg["sweep_count"] >= 1,
+             "trials and sweep_count must be at least 1")
+    _write_manifest(cfg["out"], "check-estimates", cfg)
     reports = []
     for i in ids:
         reports.append(
@@ -269,9 +276,12 @@ def cmd_check_estimates(args) -> int:
 def cmd_convergence(args) -> int:
     keys = ["algebra", "n", "grid", "dt", "t_end", "scale", "seed", "out"]
     cfg = _resolve(args, keys)
-    spec = _algebra(cfg["algebra"], cfg["n"])
+    with _validating():
+        spec = _algebra(cfg["algebra"], cfg["n"])
+        grid = TorusGrid(cfg["grid"])
+        TorusGrid(cfg["grid"] // 2)  # the coarsest grid of the spatial study
+    _require_steps(cfg)
     _write_manifest(cfg["out"], "convergence", cfg)
-    grid = TorusGrid(cfg["grid"])
     a, a_dot = analytic_potential(spec, grid, cfg["seed"], cfg["scale"])
     state = state_from_potential(a, a_dot)
     order = temporal_order(spec, grid, state, cfg["dt"], cfg["t_end"])
@@ -299,9 +309,14 @@ def cmd_picard(args) -> int:
     keys = ["algebra", "n", "grid", "dt", "t_end", "scale", "seed",
             "iterations", "s", "r_exponent", "out"]
     cfg = _resolve(args, keys)
-    spec = _algebra(cfg["algebra"], cfg["n"])
+    with _validating():
+        spec = _algebra(cfg["algebra"], cfg["n"])
+        grid = TorusGrid(cfg["grid"])
+    _require_steps(cfg)
+    # a contraction ratio needs two successive differences
+    _require(cfg["iterations"] >= 2, "iterations must be at least 2")
+    _require(1.0 < cfg["r_exponent"] <= 2.0, "r exponent must lie in (1, 2]")
     _write_manifest(cfg["out"], "picard", cfg)
-    grid = TorusGrid(cfg["grid"])
     a, a_dot = analytic_potential(spec, grid, cfg["seed"], cfg["scale"])
     state = state_from_potential(a, a_dot)
     diffs, ratios = picard_iterate(

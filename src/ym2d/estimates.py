@@ -443,7 +443,7 @@ def elliptic_i_sweep(
 
 def _half_space_sign(grid: TorusGrid) -> np.ndarray:
     """+1 on one half of frequency space, -1 on the mirror half, 0 at k=0."""
-    k1, k2 = grid.freqs
+    k1, k2 = grid.rfreqs
     s = np.sign(k2)
     s = np.where(s == 0, np.sign(k1), s)
     return s
@@ -451,26 +451,23 @@ def _half_space_sign(grid: TorusGrid) -> np.ndarray:
 
 def _free_wave_pair(
     spec, grid, rng, s_weight: float, r: float, band: float
-) -> tuple:
+) -> SpacetimePair:
     """Random real free-wave data with unit weighted-norm proxy.
 
-    hat(u) is Hermitian white noise band-limited to |k| <= band; the time
-    derivative is the free half-wave flow d_t uhat = -i sgn |k| H(k) uhat
+    hat(u) is Hermitian white noise band-limited to |k| <= band < N/2; the
+    time derivative is the free half-wave flow d_t uhat = -i sgn |k| H(k) uhat
     with a random global sign and H the Hermitian-compatible half-space
     orientation.  The X^r_{s,b} proxy drops the modulation weight (free
     waves are delta-supported there) and normalizes the spatial weight.
     """
     noise = rng.standard_normal((spec.dim, grid.N, grid.N))
-    hat = np.fft.fft2(noise) / grid.N**2
-    mask = grid.xi_abs <= band
-    hat *= mask
+    hat = np.fft.rfft2(noise) / grid.N**2
+    hat *= grid.xi_abs <= band
     sign = rng.choice([-1.0, 1.0])
-    norm = weighted_hat_norm(grid, hat, s_weight, r)
-    hat = hat / norm
+    hat = hat / weighted_hat_norm(grid, hat, s_weight, r)
     dhat = -1j * sign * grid.xi_abs * _half_space_sign(grid) * hat
-    u = GridField(spec, grid, np.real(np.fft.ifft2(hat)) * grid.N**2)
-    v = GridField(spec, grid, np.real(np.fft.ifft2(dhat)) * grid.N**2)
-    return SpacetimePair(u, v), hat
+    return SpacetimePair(GridField.from_rhat(spec, grid, hat),
+                         GridField.from_rhat(spec, grid, dhat))
 
 
 def _deriv_variants(p: SpacetimePair):
@@ -495,7 +492,7 @@ def _expression_norms(estimate_id, spec, grid, pairs, s, l, r):
     F1, F2 = pairs["F"]
 
     def out(field, weight):
-        return weighted_hat_norm(grid, field.hat, weight, r)
+        return weighted_hat_norm(grid, field.rhat, weight, r)
 
     qset = ("Q01", "Q12")
     res = []
@@ -606,14 +603,8 @@ def _sup_constant(estimate_id, spec, grid, rng, trials, s, l, r):
     band = grid.N / 4.0
     for trial in range(trials):
         pairs = {
-            "A": [
-                _free_wave_pair(spec, grid, rng, s, r, band)[0]
-                for _ in range(4)
-            ],
-            "F": [
-                _free_wave_pair(spec, grid, rng, l, r, band)[0]
-                for _ in range(2)
-            ],
+            "A": [_free_wave_pair(spec, grid, rng, s, r, band) for _ in range(4)],
+            "F": [_free_wave_pair(spec, grid, rng, l, r, band) for _ in range(2)],
         }
         val = max(_expression_norms(estimate_id, spec, grid, pairs, s, l, r))
         if val > sup:

@@ -5,7 +5,8 @@ Three integration paths share the assembled right-hand sides:
   * half-wave first-order reduction with exponential integrators,
   * Picard/Duhamel iteration on the half-wave form (contraction witness).
 A reference evolution of the potential alone (direct wave-equation expansion)
-runs as a cross-validation twin.
+runs as a cross-validation twin beside every stepper; evolve_and_monitor is
+the one driver for all of them.
 
 Sign convention: the assembled nonlinearities (M, N) reproduce the displayed
 wave equations, whose derivation from D^alpha F_{alpha beta} = 0 under the
@@ -29,6 +30,7 @@ agreement contract binds the implementation to it).
 from __future__ import annotations
 
 from dataclasses import dataclass
+from functools import partial
 
 import numpy as np
 
@@ -59,6 +61,8 @@ class EvolveConfig:
             raise ValueError("dt must be positive and t_end nonnegative")
         if self.stepper not in ("RK4", "ExpEuler", "ExpRK2"):
             raise ValueError(f"unknown stepper {self.stepper!r}")
+        if self.monitor_every < 1:
+            raise ValueError("monitor_every must be at least 1")
 
 
 @dataclass
@@ -124,29 +128,32 @@ def _rk4(f, y, dt):
     return out
 
 
+def _step_second_order(spec, grid, y, dt):
+    return _rk4(lambda z: _second_order_rhs(spec, grid, z), y, dt)
+
+
 def step_second_order(state: FieldState, dt: float) -> FieldState:
     """One RK4 step of the full system."""
     a0 = state.A[0].value
-    y = _rk4(lambda z: _second_order_rhs(a0.spec, a0.grid, z),
-             array_from_state(state), dt)
+    y = _step_second_order(a0.spec, a0.grid, array_from_state(state), dt)
     return state_from_array(a0.spec, a0.grid, y)
 
 
 # --- half-wave reduction --------------------------------------------------
 
 def to_half_wave(state: FieldState) -> np.ndarray:
-    """Spectral half-wave split: hw[c, 0/1] = hat(u_plus/minus).
+    """Spectral half-wave split: hw[c, 0/1] = rhat(u_plus/minus).
 
     u_pm = (u +- (i Lambda)^{-1} u_t)/2, i.e. hat(u_pm) = (uhat -+ i vhat/L)/2.
+    u_minus is the complex conjugate of u_plus, so the two half-planes
+    (shape (6, 2, dim, N, N/2 + 1)) hold the whole spectrum of u_plus.
     """
     a0 = state.A[0].value
     lam = a0.grid.xi_bracket
     comps = list(state.A) + list(state.F)
-    hw = np.empty(
-        (N_COMPONENTS, 2, a0.spec.dim, a0.grid.N, a0.grid.N), dtype=complex
-    )
+    hw = np.empty((N_COMPONENTS, 2) + a0.rhat.shape, dtype=complex)
     for c, p in enumerate(comps):
-        uh, vh = p.value.hat, p.time_deriv.hat
+        uh, vh = p.value.rhat, p.time_deriv.rhat
         hw[c, 0] = 0.5 * (uh - 1j * vh / lam)
         hw[c, 1] = 0.5 * (uh + 1j * vh / lam)
     return hw
@@ -159,9 +166,8 @@ def from_half_wave(spec, grid, hw: np.ndarray) -> FieldState:
     for c in range(N_COMPONENTS):
         uh = hw[c, 0] + hw[c, 1]
         vh = 1j * lam * (hw[c, 0] - hw[c, 1])
-        u = GridField(spec, grid, np.real(np.fft.ifft2(uh)) * grid.N**2)
-        v = GridField(spec, grid, np.real(np.fft.ifft2(vh)) * grid.N**2)
-        pairs.append(SpacetimePair(u, v))
+        pairs.append(SpacetimePair(GridField.from_rhat(spec, grid, uh),
+                                   GridField.from_rhat(spec, grid, vh)))
     return FieldState(tuple(pairs[:3]), tuple(pairs[3:]))
 
 
@@ -173,7 +179,7 @@ def _half_wave_source(spec, grid, hw: np.ndarray) -> np.ndarray:
     comps = list(st.A) + list(st.F)
     g = np.empty_like(hw)
     for c in range(N_COMPONENTS):
-        src = (comps[c].value.hat - rhs[c].hat) / (2.0 * lam)
+        src = (comps[c].value.rhat - rhs[c].rhat) / (2.0 * lam)
         g[c, 0] = -1j * src
         g[c, 1] = 1j * src
     return g
@@ -213,36 +219,52 @@ def step_half_wave(spec, grid, hw: np.ndarray, dt: float, stepper: str = "ExpRK2
 
 # --- monitored evolution with reference twin ------------------------------
 
-def evolve_and_monitor(state: FieldState, cfg: EvolveConfig, on_record=None):
-    """Evolve the full system and the potential-only reference in lock step.
+def _stepper(name: str):
+    """(pack, step, view) of a stepper: pack maps a FieldState to the
+    stepper's state y, step(spec, grid, y, dt) advances y by dt, and
+    view(spec, grid, y) maps y back to a FieldState.  The table is built per
+    call so that it sees the module's current bindings."""
+    half_wave = (to_half_wave, partial(step_half_wave, stepper=name), from_half_wave)
+    return {
+        "RK4": (array_from_state, _step_second_order, state_from_array),
+        "ExpEuler": half_wave,
+        "ExpRK2": half_wave,
+    }[name]
 
-    Returns a list of DiagnosticsRecord; twin_diff is the sup-norm difference
-    of the potential components between the two runs.  on_record, if given,
-    is called as on_record(step_index, state) at every monitoring step.
+
+def evolve_and_monitor(state: FieldState, cfg: EvolveConfig, on_record=None):
+    """Evolve the full system with cfg.stepper and the potential-only
+    reference (RK4 on the direct expansion) in lock step.
+
+    Returns a list of DiagnosticsRecord, one at step 0, every
+    cfg.monitor_every steps and at the last step; twin_diff is the
+    sup-norm difference of the potential components between the two runs.
+    on_record, if given, is called as on_record(step_index, state) at every
+    monitoring step.
     """
     a0 = state.A[0].value
     spec, grid = a0.spec, a0.grid
-    y = array_from_state(state)
-    y_ref = y[:3].copy()
+    pack, step, view = _stepper(cfg.stepper)
+    y = pack(state)
+    y_ref = array_from_state(state)[:3]
     steps = int(round(cfg.t_end / cfg.dt))
     records = []
 
-    def record(step, t):
-        st = state_from_array(spec, grid, y)
+    def record(j, st):
         lorenz, gauss, compat = constraint_residuals(st)
-        twin = float(np.max(np.abs(y[:3] - y_ref)))
+        twin = float(np.max(np.abs(array_from_state(st)[:3] - y_ref)))
         records.append(
-            DiagnosticsRecord(t, energy(st), lorenz, gauss, compat, twin)
+            DiagnosticsRecord(j * cfg.dt, energy(st), lorenz, gauss, compat, twin)
         )
         if on_record is not None:
-            on_record(step, st)
+            on_record(j, st)
 
-    record(0, 0.0)
+    record(0, state)
     for j in range(steps):
-        y = _rk4(lambda z: _second_order_rhs(spec, grid, z), y, cfg.dt)
+        y = step(spec, grid, y, cfg.dt)
         y_ref = _rk4(lambda z: _ym4_rhs_array(spec, grid, z), y_ref, cfg.dt)
         if (j + 1) % cfg.monitor_every == 0 or j == steps - 1:
-            record(j + 1, (j + 1) * cfg.dt)
+            record(j + 1, view(spec, grid, y))
     return records
 
 
@@ -259,11 +281,19 @@ def records_to_csv(records, path):
 # --- Picard / Duhamel iteration ------------------------------------------
 
 def _hw_norm(grid, hw, s: float, r: float) -> float:
-    """Sum over components/signs of the weighted Fourier-Lebesgue norm."""
+    """Sum over components/signs of the weighted Fourier-Lebesgue norm.
+
+    u_minus = conj(u_plus) has the norm of u_plus, so the sum is
+    2 sum_c ||u_plus^c||.  The rhat lattices hw[c, 0] and hw[c, 1] each hold
+    half of the spectrum of u_plus (the second mirrored), and the columns 0
+    and N/2 twice, so ||u_plus||^{r'} is the mean of their column-weighted
+    r'-th powers.
+    """
     total = 0.0
     for c in range(hw.shape[0]):
-        for pm in range(2):
-            total += weighted_hat_norm(grid, hw[c, pm], s, r)
+        plus, minus = (weighted_hat_norm(grid, hw[c, pm], s, r) for pm in range(2))
+        rp = r / (r - 1.0)
+        total += 2.0 * (0.5 * (plus**rp + minus**rp)) ** (1.0 / rp)
     return total
 
 
@@ -370,7 +400,7 @@ def temporal_order(spec, grid, state: FieldState, dt: float, t_end: float) -> fl
     for d in (dt, dt / 2.0, dt / 4.0):
         y = array_from_state(state)
         for _ in range(int(round(t_end / d))):
-            y = _rk4(lambda z: _second_order_rhs(spec, grid, z), y, d)
+            y = _step_second_order(spec, grid, y, d)
         sols.append(y)
     e1 = float(np.max(np.abs(sols[0] - sols[1])))
     e2 = float(np.max(np.abs(sols[1] - sols[2])))
@@ -391,7 +421,7 @@ def spatial_errors(spec, seed: float, scale: float, grids, dt: float, t_end: flo
         a, a_dot = analytic_potential(spec, grid, seed, scale)
         y = array_from_state(state_from_potential(a, a_dot))
         for _ in range(int(round(t_end / dt))):
-            y = _rk4(lambda z: _second_order_rhs(spec, grid, z), y, dt)
+            y = _step_second_order(spec, grid, y, dt)
         sols[N] = y
     finest = max(grids)
     errs = []

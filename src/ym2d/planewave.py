@@ -185,11 +185,6 @@ def pw_residual_norm(u: PlaneWaveField) -> float:
     return max(float(np.linalg.norm(c)) for c in u.modes.values())
 
 
-def pw_sup_norm(u: PlaneWaveField) -> float:
-    """Sum of coefficient Frobenius norms; an upper bound for sup_x |u|."""
-    return sum(float(np.linalg.norm(c)) for c in u.modes.values())
-
-
 def random_field(
     spec: AlgebraSpec,
     mode_count: int,
@@ -243,8 +238,3 @@ def lorenz_compatible(
         PlaneWaveField.from_modes(n, m1),
         PlaneWaveField.from_modes(n, m2),
     )
-
-
-def lorenz_residual(a0: PlaneWaveField, a1: PlaneWaveField, a2: PlaneWaveField):
-    """The field d^alpha A_alpha = -dt A0 + d1 A1 + d2 A2."""
-    return -1.0 * a0.dt() + a1.dx(1) + a2.dx(2)

@@ -1,9 +1,12 @@
 """Discrete torus geometry, Fourier multipliers, dealiased products, norms.
 
 Fields are Lie-algebra valued functions on an N x N periodic torus, stored as
-real coefficient lattices over the algebra basis (shape (dim, N, N)).  The
-transform backend is numpy's FFT behind a small interface; a direct O(N^4)
-discrete transform oracle is provided for cross-checking at small N.
+real coefficient lattices over the algebra basis (shape (dim, N, N)).  Their
+spectra live on one layout, the rfft2 half-plane (shape (..., N, N/2 + 1)):
+the fields are real, so the other half of the plane is the mirror image.
+Every symbol lattice, the dealiasing mask and the Fourier-Lebesgue norms use
+that layout.  The transform backend is numpy's FFT; a direct O(N^4) discrete
+transform oracle is provided for cross-checking at small N.
 """
 
 from __future__ import annotations
@@ -46,16 +49,44 @@ class TorusGrid:
 
     @property
     def freqs(self):
-        """Frequency arrays xi1, xi2 of shape (N, N) (fftfreq layout)."""
+        """Frequency arrays xi1, xi2 of shape (N, N) (full fftfreq layout).
+
+        Only for transforms of complex fields; real fields use rfreqs.
+        """
         if "freqs" not in self._cache:
-            k = np.fft.fftfreq(self.N, d=1.0 / self.N) * (2.0 * np.pi / self.L)
-            self._cache["freqs"] = np.meshgrid(k, k, indexing="ij")
+            self._cache["freqs"] = np.meshgrid(self._k, self._k, indexing="ij")
         return self._cache["freqs"]
+
+    @property
+    def rfreqs(self):
+        """Frequency arrays xi1, xi2 of shape (N, N/2 + 1) (rfft2 layout).
+
+        The columns keep the fftfreq signs, so the Nyquist column has
+        xi2 = -N/2 (in units of 2 pi / L), as in the full plane.
+        """
+        if "rfreqs" not in self._cache:
+            k = self._k
+            self._cache["rfreqs"] = np.meshgrid(k, k[: self.N // 2 + 1], indexing="ij")
+        return self._cache["rfreqs"]
+
+    @property
+    def _k(self):
+        return np.fft.fftfreq(self.N, d=1.0 / self.N) * (2.0 * np.pi / self.L)
+
+    @property
+    def column_weight(self):
+        """How often each rfft2 column occurs in the full plane: 1 for the
+        columns 0 and N/2, which are their own mirror images, 2 otherwise."""
+        if "column_weight" not in self._cache:
+            w = np.full(self.N // 2 + 1, 2.0)
+            w[[0, -1]] = 1.0
+            self._cache["column_weight"] = w
+        return self._cache["column_weight"]
 
     @property
     def xi_abs(self):
         if "xi_abs" not in self._cache:
-            k1, k2 = self.freqs
+            k1, k2 = self.rfreqs
             self._cache["xi_abs"] = np.hypot(k1, k2)
         return self._cache["xi_abs"]
 
@@ -68,59 +99,36 @@ class TorusGrid:
 
     @property
     def dealias_mask(self):
-        """2/3-rule mask in fftfreq index layout."""
+        """2/3-rule mask (rfft2 layout)."""
         if "dealias" not in self._cache:
             k = np.fft.fftfreq(self.N, d=1.0 / self.N)
             keep = np.abs(k) < self.N / 3.0
-            self._cache["dealias"] = np.outer(keep, keep)
+            self._cache["dealias"] = np.outer(keep, keep[: self.N // 2 + 1])
         return self._cache["dealias"]
 
-    def multiplier_array_r(self, kind: str, param=None) -> np.ndarray:
-        """Half-plane (rfft2 layout) view of a named multiplier symbol."""
-        key = ("r", kind, param)
-        if key not in self._cache:
-            full = self.multiplier_array(kind, param)
-            self._cache[key] = np.ascontiguousarray(full[:, : self.N // 2 + 1])
-        return self._cache[key]
-
-    @property
-    def dealias_mask_r(self):
-        key = ("r", "dealias")
-        if key not in self._cache:
-            self._cache[key] = np.ascontiguousarray(
-                self.dealias_mask[:, : self.N // 2 + 1]
-            )
-        return self._cache[key]
-
     def multiplier_array(self, kind: str, param=None) -> np.ndarray:
-        """Scalar symbol lattice for a named multiplier (see apply_multiplier)."""
+        """Scalar symbol lattice of a named multiplier (see GridField)."""
         key = (kind, param)
         if key in self._cache:
             return self._cache[key]
-        k1, k2 = self.freqs
+        k1, k2 = self.rfreqs
         xa = self.xi_abs
         xb = self.xi_bracket
         if kind == "lambda_pow":
             m = xb ** float(param)
         elif kind == "d_pow":
             a = float(param)
-            with np.errstate(divide="ignore"):
-                m = np.where(xa > 0, xa, 1.0) ** a
-            if a < 0:
-                m = np.where(xa > 0, m, 0.0)
-            elif a > 0:
-                m = np.where(xa > 0, m, 0.0)
-            else:
+            if a == 0:
                 m = np.ones_like(xa)
+            else:
+                with np.errstate(divide="ignore"):
+                    m = np.where(xa > 0, np.where(xa > 0, xa, 1.0) ** a, 0.0)
         elif kind == "riesz":
             ki = k1 if param == 1 else k2
             m = 1j * ki / xb
         elif kind == "derivative":
             ki = k1 if param == 1 else k2
             m = 1j * ki
-        elif kind == "lambda_inv_derivative":
-            ki = k1 if param == 1 else k2
-            m = 1j * ki / xb
         elif kind == "laplacian":
             m = -(xa**2)
         elif kind == "inv_laplacian":
@@ -134,16 +142,17 @@ class TorusGrid:
 
 
 class GridField:
-    """Algebra-valued grid function; immutable by convention.
+    """Algebra-valued grid function; immutable.
 
-    values: real array (dim, N, N); a lazily cached spectral representation
-    avoids repeated transforms when several multipliers hit the same field.
+    values: real array (dim, N, N), made read-only on construction; a lazily
+    cached half-plane spectrum (rhat) avoids repeated transforms when several
+    multipliers hit the same field.
     """
 
-    __slots__ = ("spec", "grid", "values", "_hat", "_rhat", "_mcache")
+    __slots__ = ("spec", "grid", "values", "_rhat", "_mcache")
 
     def __init__(self, spec: AlgebraSpec, grid: TorusGrid, values: np.ndarray,
-                 hat=None, rhat=None):
+                 rhat=None):
         values = np.asarray(values, dtype=float)
         if values.shape != (spec.dim, grid.N, grid.N):
             raise ValueError(
@@ -151,10 +160,12 @@ class GridField:
             )
         if not np.all(np.isfinite(values)):
             raise FloatingPointError("non-finite values in grid field")
+        # no copy: the caller's array becomes read-only too, so the cached
+        # spectrum cannot go stale through an in-place write
+        values.flags.writeable = False
         self.spec = spec
         self.grid = grid
         self.values = values
-        self._hat = hat
         self._rhat = rhat
         self._mcache = {}
 
@@ -163,30 +174,13 @@ class GridField:
         return GridField(spec, grid, np.zeros((spec.dim, grid.N, grid.N)))
 
     @staticmethod
-    def from_hat(spec, grid, hat):
-        # hat is mean-normalized (fft2 / N^2); invert accordingly
-        vals = np.fft.ifft2(hat, axes=(-2, -1)) * grid.N**2
-        return GridField(spec, grid, vals.real, hat=hat)
-
-    @staticmethod
     def from_rhat(spec, grid, rhat):
         vals = np.fft.irfft2(rhat, s=(grid.N, grid.N), axes=(-2, -1)) * grid.N**2
         return GridField(spec, grid, vals, rhat=rhat)
 
     @property
-    def hat(self):
-        """Mean-normalized full spectral coefficients (fft2 / N^2)."""
-        if self._hat is None:
-            self._hat = np.fft.fft2(self.values, axes=(-2, -1)) / self.grid.N**2
-        return self._hat
-
-    @property
     def rhat(self):
-        """Mean-normalized half-plane coefficients (rfft2 / N^2).
-
-        All internal multiplier arithmetic runs on this layout; real fields
-        make the redundant half of the spectrum unnecessary.
-        """
+        """Mean-normalized half-plane coefficients (rfft2 / N^2)."""
         if self._rhat is None:
             self._rhat = np.fft.rfft2(self.values, axes=(-2, -1)) / self.grid.N**2
         return self._rhat
@@ -227,25 +221,25 @@ class GridField:
         return out
 
     def dx(self, i: int):
-        return self._apply_symbol(self.grid.multiplier_array_r("derivative", i))
+        return self._apply_symbol(self.grid.multiplier_array("derivative", i))
 
     def lambda_pow(self, s: float):
-        return self._apply_symbol(self.grid.multiplier_array_r("lambda_pow", s))
+        return self._apply_symbol(self.grid.multiplier_array("lambda_pow", s))
 
     def d_pow(self, a: float):
-        return self._apply_symbol(self.grid.multiplier_array_r("d_pow", a))
+        return self._apply_symbol(self.grid.multiplier_array("d_pow", a))
 
     def riesz(self, i: int):
-        return self._apply_symbol(self.grid.multiplier_array_r("riesz", i))
+        return self._apply_symbol(self.grid.multiplier_array("riesz", i))
 
     def inv_laplacian(self):
-        return self._apply_symbol(self.grid.multiplier_array_r("inv_laplacian"))
+        return self._apply_symbol(self.grid.multiplier_array("inv_laplacian"))
 
     def laplacian(self):
-        return self._apply_symbol(self.grid.multiplier_array_r("laplacian"))
+        return self._apply_symbol(self.grid.multiplier_array("laplacian"))
 
     def dealias(self):
-        return self._apply_symbol(self.grid.dealias_mask_r)
+        return self._apply_symbol(self.grid.dealias_mask)
 
     def l2_norm(self) -> float:
         """Grid-quadrature L^2 norm over the torus."""
@@ -254,29 +248,6 @@ class GridField:
 
     def sup_norm(self) -> float:
         return float(np.max(np.sqrt(np.sum(self.values**2, axis=0))))
-
-
-def apply_multiplier(u: GridField, kind: str, param=None) -> GridField:
-    """Apply a named Fourier multiplier; see TorusGrid.multiplier_array.
-
-    Besides the scalar symbols, the vector projections act on a field pair:
-    use split_potential for the df/cf/smooth three-way splitting.
-    """
-    return u._apply_symbol(u.grid.multiplier_array_r(kind, param))
-
-
-def split_potential(a1: GridField, a2: GridField):
-    """Three-way splitting A = A_df + A_cf + Lambda^-2 A of a spatial pair.
-
-    A_df = Lambda^-2 (d2 (d1 A2 - d2 A1), -d1 (d1 A2 - d2 A1)),
-    A_cf = -Lambda^-2 grad (div A).  Exact in discrete Fourier space.
-    """
-    curl = a2.dx(1) - a1.dx(2)
-    div = a1.dx(1) + a2.dx(2)
-    df = (curl.lambda_pow(-2).dx(2), -1.0 * curl.lambda_pow(-2).dx(1))
-    cf = (-1.0 * div.lambda_pow(-2).dx(1), -1.0 * div.lambda_pow(-2).dx(2))
-    smooth = (a1.lambda_pow(-2), a2.lambda_pow(-2))
-    return df, cf, smooth
 
 
 def dealiased_product(u: GridField, v: GridField, kind: str, dealias=True) -> GridField:
@@ -311,25 +282,27 @@ def discrete_norm(u: GridField, s: float, r: float) -> float:
     transform with the (2 pi)^(-d/2) convention, so that r=2, s=0 reproduces
     the grid L^2 norm exactly (discrete Parseval).
     """
-    return weighted_hat_norm(u.grid, u.hat, s, r)
+    return weighted_hat_norm(u.grid, u.rhat, s, r)
 
 
-def weighted_hat_norm(grid: TorusGrid, hat: np.ndarray, s: float, r: float) -> float:
-    """discrete_norm on a raw mean-normalized coefficient lattice.
+def weighted_hat_norm(grid: TorusGrid, rhat: np.ndarray, s: float, r: float) -> float:
+    """discrete_norm of a real field given by its mean-normalized rhat lattice.
 
-    hat has shape (..., N, N); leading axes are contracted in Frobenius norm
-    (so algebra components combine isometrically).
+    rhat has shape (..., N, N/2 + 1); leading axes are contracted in
+    Frobenius norm (so algebra components combine isometrically).  Each
+    column also stands for its mirror image (grid.column_weight), so the sum
+    runs over the full frequency plane.
     """
     if not (1.0 < r <= 2.0):
         raise ValueError("Lebesgue exponent r must satisfy 1 < r <= 2")
     rp = r / (r - 1.0)
     # continuum-normalized coefficients: (2 pi)^-1 * L^2 * (mean-normalized hat)
-    chat = hat * (grid.L**2 / (2.0 * np.pi))
+    chat = rhat * (grid.L**2 / (2.0 * np.pi))
     axes = tuple(range(chat.ndim - 2))
     mag = np.sqrt(np.sum(np.abs(chat) ** 2, axis=axes))
     w = grid.xi_bracket**s * mag
     dxi = (2.0 * np.pi / grid.L) ** 2
-    return float((np.sum(w**rp) * dxi) ** (1.0 / rp))
+    return float((np.sum(w**rp * grid.column_weight) * dxi) ** (1.0 / rp))
 
 
 def dft_oracle(values: np.ndarray) -> np.ndarray:

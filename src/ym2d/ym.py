@@ -16,7 +16,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .algebra import bracket_coeffs
-from .nullforms import SpacetimePair, _product, calligraphic_q, gamma1, null_form
+from .nullforms import SpacetimePair, _product, calligraphic_q, null_form
 from .planewave import PlaneWaveField, pw_residual_norm
 from .spectral import GridField
 
@@ -198,10 +198,6 @@ def gauge_transform(state: FieldState, U: np.ndarray, tol: float = 1e-8) -> Fiel
 
 # --- direct expansions (oracles for the assembled system) -----------------
 
-def _d_slice(p: SpacetimePair, beta: int):
-    return p.deriv(beta)
-
-
 def _raised_sum(terms):
     """sum_alpha METRIC_SIGN[alpha] * terms[alpha]."""
     out = METRIC_SIGN[0] * terms[0]
@@ -217,8 +213,8 @@ def ym4_rhs(A: tuple) -> tuple:
     out = []
     for beta in range(3):
         ab = A[beta]
-        t1 = _raised_sum([_br(A[al].value, _d_slice(ab, al)) for al in range(3)])
-        t2 = _raised_sum([_br(A[al].value, _d_slice(A[al], beta)) for al in range(3)])
+        t1 = _raised_sum([_br(A[al].value, ab.deriv(al)) for al in range(3)])
+        t2 = _raised_sum([_br(A[al].value, A[al].deriv(beta)) for al in range(3)])
         t3 = _raised_sum(
             [_br(A[al].value, _br(A[al].value, ab.value)) for al in range(3)]
         )
@@ -238,18 +234,18 @@ def ymf2_rhs(state: FieldState) -> tuple:
     out = []
     for beta, gamma in ((0, 1), (0, 2), (1, 2)):
         fbg = state.f(beta, gamma)
-        t1 = _raised_sum([_br(A[al].value, _d_slice(fbg, al)) for al in range(3)])
+        t1 = _raised_sum([_br(A[al].value, fbg.deriv(al)) for al in range(3)])
         t2 = _raised_sum(
-            [_br(_d_slice(A[al], gamma), _d_slice(A[beta], al)) for al in range(3)]
+            [_br(A[al].deriv(gamma), A[beta].deriv(al)) for al in range(3)]
         )
         t3 = _raised_sum(
-            [_br(_d_slice(A[al], beta), _d_slice(A[gamma], al)) for al in range(3)]
+            [_br(A[al].deriv(beta), A[gamma].deriv(al)) for al in range(3)]
         )
         t4 = _raised_sum(
-            [_br(_d_slice(A[beta], al), _d_slice(A[gamma], al)) for al in range(3)]
+            [_br(A[beta].deriv(al), A[gamma].deriv(al)) for al in range(3)]
         )
         t5 = _raised_sum(
-            [_br(_d_slice(A[al], beta), _d_slice(A[al], gamma)) for al in range(3)]
+            [_br(A[al].deriv(beta), A[al].deriv(gamma)) for al in range(3)]
         )
         t6 = _raised_sum(
             [_br(A[al].value, _br(A[al].value, fbg.value)) for al in range(3)]
@@ -297,7 +293,7 @@ def gamma_terms(state: FieldState, beta: int) -> tuple:
     """The four Gamma^i_beta pieces decomposing [A^alpha, d_beta A_alpha]."""
     A = state.A
     a0 = A[0]
-    dbA0 = _d_slice(a0, beta)
+    dbA0 = a0.deriv(beta)
 
     # Gamma^1: non-Q null form in A_0
     g1 = -1.0 * _br(a0.value, dbA0)
@@ -312,9 +308,9 @@ def gamma_terms(state: FieldState, beta: int) -> tuple:
     # terms is fixed by the exact decomposition identity (verified by the
     # identity suite): -Q12[..., d_beta G] + Q12[d_beta ..., G].
     u = A[1].value.riesz(1) + A[2].value.riesz(2)  # R^n A_n
-    du = _d_slice(A[1], beta).riesz(1) + _d_slice(A[2], beta).riesz(2)
+    du = A[1].deriv(beta).riesz(1) + A[2].deriv(beta).riesz(2)
     G = A[2].value.dx(1) - A[1].value.dx(2)
-    dG = _d_slice(A[2], beta).dx(1) - _d_slice(A[1], beta).dx(2)
+    dG = A[2].deriv(beta).dx(1) - A[1].deriv(beta).dx(2)
     g2 = -1.0 * _q12_slices(u.lambda_pow(-1.0), dG.lambda_pow(-2.0)) + _q12_slices(
         du.lambda_pow(-1.0), G.lambda_pow(-2.0)
     )
@@ -342,7 +338,7 @@ def gamma_terms(state: FieldState, beta: int) -> tuple:
     g4 = _zero_like(a0.value)
     for i in (1, 2):
         ai = A[i].value
-        dai = _d_slice(A[i], beta)
+        dai = A[i].deriv(beta)
         g4 = g4 + _br(ai - ai.lambda_pow(-2.0), dai.lambda_pow(-2.0)) + _br(
             ai.lambda_pow(-2.0), dai
         )
@@ -376,7 +372,7 @@ def assemble_rhs(state: FieldState) -> tuple:
         for g in gamma_terms(state, beta):
             m = m + g
         m = m - 2.0 * _raised_sum(
-            [_br(A[al].value.lambda_pow(-2.0), _d_slice(ab, al)) for al in range(3)]
+            [_br(A[al].value.lambda_pow(-2.0), ab.deriv(al)) for al in range(3)]
         )
         m = m - _raised_sum(
             [_br(A[al].value, _br(A[al].value, ab.value)) for al in range(3)]
@@ -392,7 +388,7 @@ def _smoother_bracket(state: FieldState, pre, target: SpacetimePair):
     A = state.A
     return -2.0 * _raised_sum(
         [
-            _br(pre(A[al].value).lambda_pow(-2.0), _d_slice(target, al))
+            _br(pre(A[al].value).lambda_pow(-2.0), target.deriv(al))
             for al in range(3)
         ]
     )

@@ -220,8 +220,10 @@ def test_criterion_6_delta_integral_sweeps():
         f"{elapsed:.0f} s",
     )
     # The sweep supremum exceeds 4 whenever the sweep samples tau near |xi|:
-    # I(tau, xi) depends only on tau/|xi| and grows to a finite plateau ~ 19
-    # as tau -> |xi| (the weight |eta|^{-1-r/2} is borderline at r near 1).
+    # I(tau, xi) depends only on tau/|xi| and is still rising as tau -> |xi|
+    # (13.2, 15.3, 16.9 at tau/|xi| = 1 + 1e-6, 1e-8, 1e-10; see
+    # test_elliptic_i_still_rising_near_endpoint): the weight
+    # |eta|^{-1-r/2} is borderline at r near 1.
     # This assertion is expected to fail; see the verdict line for the
     # measured values.
     assert ok

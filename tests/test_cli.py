@@ -1,4 +1,7 @@
 import json
+import math
+
+import pytest
 
 from ym2d.cli import main
 
@@ -133,3 +136,38 @@ def test_check_estimates_rejects_bad_id(tmp_path):
         "--out", str(tmp_path / "e.jsonl"),
     ])
     assert rc == 2
+    assert not list(tmp_path.iterdir())  # no manifest
+
+
+@pytest.mark.parametrize("argv", [
+    ["simulate", "--grid", "63"],
+    ["simulate", "--dt", "-1"],
+    ["simulate", "--n", "1"],
+    ["simulate", "--monitor-every", "0"],
+    ["check-symbols", "--count", "0"],
+    ["check-estimates", "--estimate-ids", "x"],
+    ["picard", "--iterations", "0"],
+    ["picard", "--iterations", "1"],
+    ["convergence", "--grid", "8"],
+])
+def test_invalid_config_exits_2_without_manifest(tmp_path, argv, capsys):
+    out = tmp_path / "o.out"
+    assert main(argv + ["--out", str(out)]) == 2
+    assert "config error" in capsys.readouterr().err
+    assert not list(tmp_path.iterdir())
+
+
+def test_simulate_half_wave_measures_twin_diff(tmp_path):
+    out = tmp_path / "hw.csv"
+    rc = main([
+        "simulate", "--grid", "32", "--dt", "0.002", "--t-end", "0.006",
+        "--scale", "0.01", "--stepper", "ExpRK2", "--monitor-every", "1",
+        "--out", str(out),
+    ])
+    assert rc == 0
+    rows = [[float(x) for x in row.split(",")]
+            for row in out.read_text().strip().split("\n")[1:]]
+    assert len(rows) == 4
+    assert rows[0][5] == 0.0
+    for row in rows[1:]:
+        assert math.isfinite(row[5]) and 0.0 < row[5] <= 1e-5

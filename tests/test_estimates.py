@@ -157,6 +157,15 @@ def test_elliptic_i_endpoint_blowup():
     assert vals[2] > 4.0
 
 
+def test_elliptic_i_still_rising_near_endpoint():
+    # the values the README quotes: no plateau down to tau/|xi| = 1 + 1e-10,
+    # with increments shrinking by about 0.8 per two decades
+    vals = [elliptic_i(1.0 + e, (1.0, 0.0), 1.1) for e in (1e-6, 1e-8, 1e-10)]
+    assert vals == pytest.approx([13.2, 15.3, 16.9], abs=0.05)
+    steps = np.diff(vals)
+    assert 0.7 < steps[1] / steps[0] < 0.85
+
+
 def test_elliptic_i_sweep_reproducible():
     s1 = elliptic_i_sweep(100, 1.1, rng_seed=3)
     s2 = elliptic_i_sweep(100, 1.1, rng_seed=3)

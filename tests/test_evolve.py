@@ -4,6 +4,7 @@ import pytest
 from ym2d.algebra import su
 from ym2d.evolve import (
     EvolveConfig,
+    _hw_norm,
     analytic_potential,
     array_from_state,
     evolve_and_monitor,
@@ -16,7 +17,7 @@ from ym2d.evolve import (
     temporal_order,
     to_half_wave,
 )
-from ym2d.spectral import TorusGrid
+from ym2d.spectral import TorusGrid, discrete_norm
 from ym2d.ym import project_gauss_data, state_from_potential
 
 SPEC = su(2)
@@ -144,3 +145,57 @@ def test_records_to_csv_schema(tmp_path):
     assert lines[0] == "t,energy,lorenz,gauss,compat,twinDiff"
     assert len(lines) == 1 + len(records)
     assert all(len(row.split(",")) == 6 for row in lines[1:])
+
+
+def test_half_wave_path_uses_only_the_rfft2_layout(monkeypatch):
+    st = _state(seed=1, N=16)
+    grid = TorusGrid(16)
+
+    def full_plane(*args, **kwargs):
+        raise AssertionError("full-plane transform called")
+
+    monkeypatch.setattr(np.fft, "fft2", full_plane)
+    monkeypatch.setattr(np.fft, "ifft2", full_plane)
+    hw = step_half_wave(SPEC, grid, to_half_wave(st), 1e-3, "ExpRK2")
+    assert hw.shape == (6, 2, SPEC.dim, 16, 16 // 2 + 1)
+    diffs, _ = picard_iterate(st, 1, 1e-3, 1e-3, r=1.5)
+    assert len(diffs) == 1 and diffs[0] > 0.0
+    assert discrete_norm(st.A[1].value, 0.8, 1.5) > 0.0
+
+
+@pytest.mark.parametrize("r", [1.5, 2.0])
+def test_hw_norm_matches_full_plane(r):
+    spec, grid, s = su(3), TorusGrid(32), 0.8
+    a, a_dot = analytic_potential(spec, grid, 6, 1e-2)
+    st = state_from_potential(a, a_dot)
+    # the full-plane formula: sum over components and signs of the fft2
+    # half-wave lattices' weighted l^{r'} norms
+    k1, k2 = grid.freqs
+    lam = np.sqrt(1.0 + k1**2 + k2**2)
+    rp = r / (r - 1.0)
+    full = 0.0
+    for p in list(st.A) + list(st.F):
+        uh = np.fft.fft2(p.value.values) / grid.N**2
+        vh = np.fft.fft2(p.time_deriv.values) / grid.N**2
+        for hw in (0.5 * (uh - 1j * vh / lam), 0.5 * (uh + 1j * vh / lam)):
+            mag = np.sqrt(np.sum(np.abs(hw * grid.L**2 / (2 * np.pi)) ** 2, axis=0))
+            dxi = (2 * np.pi / grid.L) ** 2
+            full += (np.sum((lam**s * mag) ** rp) * dxi) ** (1.0 / rp)
+    half = _hw_norm(grid, to_half_wave(st), s, r)
+    assert abs(half - full) <= 1e-12 * full
+
+
+def test_every_stepper_runs_through_the_monitored_driver():
+    st = _state(seed=2, project=True)
+    last_twin = {}
+    for stepper in ("ExpEuler", "ExpRK2"):
+        cfg = EvolveConfig(dt=2e-3, t_end=4e-3, stepper=stepper, monitor_every=1)
+        seen = []
+        records = evolve_and_monitor(st, cfg, on_record=lambda j, s: seen.append(j))
+        assert seen == [0, 1, 2]
+        assert records[0].twin_diff == 0.0
+        assert all(0.0 < rec.twin_diff <= 1e-5 for rec in records[1:])
+        assert all(rec.gauss < 1e-6 for rec in records)
+        last_twin[stepper] = records[-1].twin_diff
+    # the twin is RK4, so the second-order stepper sits closer to it
+    assert last_twin["ExpRK2"] < last_twin["ExpEuler"]

@@ -4,10 +4,8 @@ import pytest
 from ym2d.planewave import (
     PlaneWaveField,
     lorenz_compatible,
-    lorenz_residual,
     pw_product,
     pw_residual_norm,
-    pw_sup_norm,
     random_field,
 )
 
@@ -83,14 +81,14 @@ def test_random_field_reproducible():
     b = random_field(su(2), 4, np.random.default_rng(11))
     assert pw_residual_norm(a - b) == 0.0
     assert a.mode_count > 0
-    assert pw_sup_norm(a) > 0.0
 
 
 def test_lorenz_compatible_data():
     from ym2d.algebra import su
 
     a0, a1, a2 = lorenz_compatible(su(2), 4, rng_seed=7)
-    assert pw_residual_norm(lorenz_residual(a0, a1, a2)) < 1e-10
+    # d^alpha A_alpha = -dt A0 + d1 A1 + d2 A2
+    assert pw_residual_norm(-1.0 * a0.dt() + a1.dx(1) + a2.dx(2)) < 1e-10
 
 
 def test_coefficient_shape_validated():

@@ -11,7 +11,6 @@ from ym2d.spectral import (
     dft_oracle,
     discrete_norm,
     read_snapshot,
-    split_potential,
     weighted_hat_norm,
     write_snapshot,
 )
@@ -31,15 +30,13 @@ def test_grid_validation():
         TorusGrid(9)
 
 
-def test_hat_matches_dft_oracle():
+def test_rhat_matches_dft_oracle():
     f = _field(0, N=8)
-    assert np.max(np.abs(f.hat - dft_oracle(f.values))) < 1e-13
+    assert np.max(np.abs(f.rhat - dft_oracle(f.values)[..., : 8 // 2 + 1])) < 1e-13
 
 
-def test_hat_rhat_consistent():
+def test_from_rhat_roundtrip():
     f = _field(1)
-    N = f.grid.N
-    assert np.allclose(f.hat[..., : N // 2 + 1], f.rhat, atol=1e-14)
     g = GridField.from_rhat(SPEC, f.grid, f.rhat)
     assert np.max(np.abs(g.values - f.values)) < 1e-13
 
@@ -48,22 +45,40 @@ def test_parseval():
     f = _field(2)
     # r=2, s=0 of the discrete Fourier-Lebesgue norm is exactly the grid L^2
     assert abs(discrete_norm(f, 0.0, 2.0) - f.l2_norm()) < 1e-12 * f.l2_norm()
+    # the column weights count every frequency of the full plane once
+    full = np.fft.fft2(f.values) / f.grid.N**2
+    rhat = f.rhat
+    w = f.grid.column_weight
+    assert abs(np.sum(np.abs(full) ** 2) - np.sum(np.abs(rhat) ** 2 * w)) < 1e-12
 
 
-def test_weighted_hat_norm_single_mode():
+@pytest.mark.parametrize("k2", [2, 0, 8])
+def test_weighted_hat_norm_single_mode(k2):
     grid = TorusGrid(16)
     x1, x2 = grid.points
     vals = np.zeros((SPEC.dim, 16, 16))
-    vals[0] = np.cos(3.0 * x1 + 2.0 * x2)
+    vals[0] = np.cos(3.0 * x1 + k2 * x2)
     f = GridField(SPEC, grid, vals)
     s = 0.8
-    # two conjugate modes at |xi| = sqrt(13), each of continuum coefficient
-    # (1/2) L^2 / (2 pi); l^2 weight <xi>^s, times the lattice measure
-    expect = (1.0 + 13.0) ** (s / 2) * (0.5 * grid.L**2 / (2 * np.pi)) * np.sqrt(2.0)
+    # two conjugate modes at |xi|^2 = 9 + k2^2, each of continuum coefficient
+    # (1/2) L^2 / (2 pi); l^2 weight <xi>^s, times the lattice measure.  The
+    # half plane holds one of them in an interior column (weight 2), or both
+    # in column 0 or N/2 (weight 1 each).
+    expect = (1.0 + 9.0 + k2**2) ** (s / 2) * (0.5 * grid.L**2 / (2 * np.pi)) * np.sqrt(2.0)
     expect *= 2.0 * np.pi / grid.L
-    assert abs(weighted_hat_norm(grid, f.hat, s, 2.0) - expect) < 1e-12
+    assert abs(weighted_hat_norm(grid, f.rhat, s, 2.0) - expect) < 1e-12 * expect
     with pytest.raises(ValueError):
-        weighted_hat_norm(grid, f.hat, s, 1.0)
+        weighted_hat_norm(grid, f.rhat, s, 1.0)
+
+
+def test_values_read_only():
+    vals = np.ones((SPEC.dim, 16, 16))
+    f = GridField(SPEC, TorusGrid(16), vals)
+    assert f.values is vals  # no copy
+    with pytest.raises(ValueError):
+        f.values[0, 0, 0] = 2.0
+    with pytest.raises(ValueError):
+        vals += 1.0
 
 
 def test_derivatives_exact_on_trig():
@@ -100,19 +115,6 @@ def test_bracket_product_antisymmetric():
     fg = dealiased_product(f, g, "bracket")
     gf = dealiased_product(g, f, "bracket")
     assert np.max(np.abs(fg.values + gf.values)) < 1e-12
-
-
-def test_split_potential_reconstructs():
-    # band-limited inputs: derivative symbols are lossy on the Nyquist ring
-    a1, a2 = _field(5).dealias(), _field(6).dealias()
-    df, cf, smooth = split_potential(a1, a2)
-    # df + cf = A - Lambda^-2 A componentwise (exact three-way splitting)
-    for orig, d, c, sm in ((a1, df[0], cf[0], smooth[0]), (a2, df[1], cf[1], smooth[1])):
-        recon = d + c + sm
-        assert np.max(np.abs(recon.values - orig.values)) < 1e-11
-    # df is divergence free, cf is curl free
-    assert (df[0].dx(1) + df[1].dx(2)).sup_norm() < 1e-11
-    assert (cf[1].dx(1) - cf[0].dx(2)).sup_norm() < 1e-11
 
 
 def test_snapshot_roundtrip_and_determinism():
