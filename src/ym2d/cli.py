@@ -103,8 +103,6 @@ def _resolve(args: argparse.Namespace, keys: list[str]) -> dict:
             resolved[k] = val
         else:
             resolved[k] = defaults[k]
-    if resolved.get("seed", 0) < 0:
-        raise ConfigError("seed must be nonnegative")
     return resolved
 
 
@@ -151,11 +149,6 @@ def _require(ok: bool, message: str):
         raise ConfigError(message)
 
 
-def _require_steps(cfg: dict):
-    _require(cfg["dt"] > 0 and int(round(cfg["t_end"] / cfg["dt"])) >= 1,
-             "dt must be positive and t_end at least one step dt")
-
-
 # --- commands -------------------------------------------------------------
 
 def cmd_simulate(args) -> int:
@@ -169,6 +162,9 @@ def cmd_simulate(args) -> int:
             dt=cfg["dt"], t_end=cfg["t_end"], stepper=cfg["stepper"],
             monitor_every=cfg["monitor_every"],
         )
+    # scale is an amplitude; a negative one would also skip the projection
+    _require(cfg["seed"] >= 0 and cfg["scale"] >= 0,
+             "seed and scale must be nonnegative")
     _require(cfg["snapshot_every"] >= 0, "snapshot_every must be nonnegative")
     _write_manifest(cfg["out"], "simulate", cfg)
     a, a_dot = analytic_potential(spec, grid, cfg["seed"], cfg["scale"])
@@ -201,6 +197,7 @@ def cmd_check_identities(args) -> int:
         spec = _algebra(cfg["algebra"], cfg["n"])
     _require(cfg["seeds"] >= 1 and cfg["modes"] >= 1,
              "seeds and modes must be at least 1")
+    # scale is an amplitude; random_element refuses a negative one
     _require(cfg["scale"] >= 0, "scale must be nonnegative")
     _write_manifest(cfg["out"], "check-identities", cfg)
     results = run_identity_suite(
@@ -230,6 +227,7 @@ def cmd_check_symbols(args) -> int:
             rng_seed=cfg["seed"],
             r_exponent=cfg["r_exponent"],
         )
+    _require(cfg["seed"] >= 0, "seed must be nonnegative")
     _write_manifest(cfg["out"], "check-symbols", cfg)
     reports = run_symbol_suite(sample_cfg)
     return EXIT_OK if _emit_reports(reports, cfg["out"]) else EXIT_NUMERICAL
@@ -246,6 +244,7 @@ def cmd_check_estimates(args) -> int:
             r_exponent=cfg["r_exponent"],
         )
         TorusGrid(cfg["grid"])
+    _require(cfg["seed"] >= 0, "seed must be nonnegative")
     bad = [i for i in ids if i not in ESTIMATE_IDS]
     _require(bool(ids), "no estimate ids")
     _require(not bad, f"unknown estimate ids {bad}; valid: {list(ESTIMATE_IDS)}")
@@ -280,7 +279,9 @@ def cmd_convergence(args) -> int:
         spec = _algebra(cfg["algebra"], cfg["n"])
         grid = TorusGrid(cfg["grid"])
         TorusGrid(cfg["grid"] // 2)  # the coarsest grid of the spatial study
-    _require_steps(cfg)
+        EvolveConfig(dt=cfg["dt"], t_end=cfg["t_end"])
+    _require(cfg["seed"] >= 0, "seed must be nonnegative")
+    _require(round(cfg["t_end"] / cfg["dt"]) >= 1, "t_end must span one step")
     _write_manifest(cfg["out"], "convergence", cfg)
     a, a_dot = analytic_potential(spec, grid, cfg["seed"], cfg["scale"])
     state = state_from_potential(a, a_dot)
@@ -312,7 +313,9 @@ def cmd_picard(args) -> int:
     with _validating():
         spec = _algebra(cfg["algebra"], cfg["n"])
         grid = TorusGrid(cfg["grid"])
-    _require_steps(cfg)
+        EvolveConfig(dt=cfg["dt"], t_end=cfg["t_end"])
+    _require(cfg["seed"] >= 0, "seed must be nonnegative")
+    _require(round(cfg["t_end"] / cfg["dt"]) >= 1, "t_end must span one step")
     # a contraction ratio needs two successive differences
     _require(cfg["iterations"] >= 2, "iterations must be at least 2")
     _require(1.0 < cfg["r_exponent"] <= 2.0, "r exponent must lie in (1, 2]")

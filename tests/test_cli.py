@@ -144,6 +144,8 @@ def test_check_estimates_rejects_bad_id(tmp_path):
     ["simulate", "--dt", "-1"],
     ["simulate", "--n", "1"],
     ["simulate", "--monitor-every", "0"],
+    ["simulate", "--scale", "-0.01"],
+    ["check-identities", "--scale", "-0.01"],
     ["check-symbols", "--count", "0"],
     ["check-estimates", "--estimate-ids", "x"],
     ["picard", "--iterations", "0"],
