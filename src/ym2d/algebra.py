@@ -66,6 +66,7 @@ class AlgebraSpec:
     n: int
     basis: np.ndarray = field(repr=False, compare=False, default=None)
     structure: np.ndarray = field(repr=False, compare=False, default=None)
+    structure_matrix: np.ndarray = field(repr=False, compare=False, default=None)
 
     def __post_init__(self):
         if self.n < 2:
@@ -78,6 +79,11 @@ class AlgebraSpec:
         f = np.real(np.einsum("abik,cki->abc", comm, np.conj(basis).transpose(0, 2, 1)))
         object.__setattr__(self, "basis", basis)
         object.__setattr__(self, "structure", f)
+        # row (b, c), column a: f[a, b, c], so one matmul contracts the first
+        # bracket argument for every output component at once
+        d = len(basis)
+        object.__setattr__(self, "structure_matrix",
+                           np.ascontiguousarray(f.reshape(d, d * d).T))
 
     @property
     def dim(self) -> int:
@@ -152,8 +158,19 @@ def bracket_coeffs(spec: AlgebraSpec, x: np.ndarray, y: np.ndarray) -> np.ndarra
     """Bracket on raw coefficient arrays with leading basis axis.
 
     x, y have shape (dim, ...); broadcasting over the trailing axes.
+    [x, y]_c = sum_b (sum_a f[a, b, c] x_a) y_b: one matmul with
+    spec.structure_matrix, then a pointwise product with y summed over b.
     """
-    return np.einsum("abc,a...,b...->c...", spec.structure, x, y)
+    shape = np.broadcast_shapes(np.shape(x)[1:], np.shape(y)[1:])
+    d = spec.dim
+
+    def flat(z):
+        # align the trailing axes on the right, as broadcasting does
+        z = np.reshape(z, (d,) + (1,) * (len(shape) + 1 - np.ndim(z)) + np.shape(z)[1:])
+        return np.broadcast_to(z, (d,) + shape).reshape(d, -1)
+
+    t = (spec.structure_matrix @ flat(x)).reshape(d, d, -1)
+    return np.einsum("bcp,bp->cp", t, flat(y)).reshape((d,) + shape)
 
 
 def random_element(spec: AlgebraSpec, rng_seed: int, scale: float) -> LieElement:

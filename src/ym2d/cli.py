@@ -234,15 +234,12 @@ def cmd_check_symbols(args) -> int:
 
 
 def cmd_check_estimates(args) -> int:
-    keys = ["count", "seed", "r_exponent", "grid", "estimate_ids", "s", "l",
+    keys = ["seed", "r_exponent", "grid", "estimate_ids", "s", "l",
             "trials", "sweep_count", "out"]
     cfg = _resolve(args, keys)
     with _validating():
         ids = [int(x) for x in str(cfg["estimate_ids"]).split(",") if x]
-        sample_cfg = SampleConfig(
-            count=max(cfg["count"], 1), rng_seed=cfg["seed"],
-            r_exponent=cfg["r_exponent"],
-        )
+        sample_cfg = SampleConfig(rng_seed=cfg["seed"], r_exponent=cfg["r_exponent"])
         TorusGrid(cfg["grid"])
     _require(cfg["seed"] >= 0, "seed must be nonnegative")
     bad = [i for i in ids if i not in ESTIMATE_IDS]
@@ -396,7 +393,6 @@ def build_parser() -> argparse.ArgumentParser:
         "--out": dict(default="symbols.jsonl"),
     })
     add("check-estimates", cmd_check_estimates, {
-        "--count": dict(type=int, default=1),
         "--seed": dict(type=int, default=0),
         "--r-exponent": dict(type=float, default=2.0, dest="r_exponent"),
         "--grid": dict(type=int, default=32),

@@ -99,7 +99,7 @@ def _second_order_rhs(spec, grid, y) -> np.ndarray:
     comps = list(st.A) + list(st.F)
     for c in range(N_COMPONENTS):
         dy[c, 0] = y[c, 1]
-        dy[c, 1] = comps[c].value.laplacian().values - rhs[c].values
+        dy[c, 1] = (comps[c].value.laplacian() - rhs[c]).values
     return dy
 
 
@@ -113,7 +113,7 @@ def _ym4_rhs_array(spec, grid, y) -> np.ndarray:
     dy = np.empty_like(y)
     for c in range(3):
         dy[c, 0] = y[c, 1]
-        dy[c, 1] = A[c].value.laplacian().values - rhs[c].values
+        dy[c, 1] = (A[c].value.laplacian() - rhs[c]).values
     return dy
 
 

@@ -1,12 +1,28 @@
 """Discrete torus geometry, Fourier multipliers, dealiased products, norms.
 
-Fields are Lie-algebra valued functions on an N x N periodic torus, stored as
-real coefficient lattices over the algebra basis (shape (dim, N, N)).  Their
-spectra live on one layout, the rfft2 half-plane (shape (..., N, N/2 + 1)):
-the fields are real, so the other half of the plane is the mirror image.
-Every symbol lattice, the dealiasing mask and the Fourier-Lebesgue norms use
-that layout.  The transform backend is numpy's FFT; a direct O(N^4) discrete
-transform oracle is provided for cross-checking at small N.
+Fields are Lie-algebra valued functions on an N x N periodic torus, with
+real coefficient lattices over the algebra basis as point values (shape
+(dim, N, N)).  Their spectra live on one layout, the rfft2 half-plane (shape
+(..., N, N/2 + 1)): the fields are real, so the other half of the plane is the
+mirror image.  Every symbol lattice, the dealiasing mask and the
+Fourier-Lebesgue norms use that layout.
+
+A GridField holds its values, its spectrum or both, and makes the missing one
+by one transform when it is first asked for.  Multipliers act on the
+spectrum alone, so a chain of them costs no transform.  Columns 0 and N/2 of
+the half-plane are their own mirror images; there every symbol is replaced
+by its part that maps real fields to real fields, (m(k) + conj m(-k))/2, so
+a multiplied spectrum is again the spectrum of a real field (odd symbols
+vanish at the Nyquist frequencies), exactly as if each multiplier were
+followed by an inverse and a forward real transform.
+
+A dealiased product uses each factor's 2/3-rule truncated values, made once
+per field by one inverse transform (the factor's memoized dealias()), and
+returns the truncated forward transform of the pointwise product as a
+spectrum-only field marked as truncated, whose own values then serve as its
+truncated values.  The
+transform backend is numpy's FFT, looked up at call time; a direct O(N^4)
+discrete transform oracle is provided for cross-checking at small N.
 """
 
 from __future__ import annotations
@@ -137,6 +153,10 @@ class TorusGrid:
                 m = np.where(xa > 0, -1.0 / np.where(xa > 0, xa**2, 1.0), 0.0)
         else:
             raise ValueError(f"unknown multiplier kind {kind!r}")
+        # the real-to-real part on the self-mirrored columns 0 and N/2
+        m = np.array(m)
+        edges = m[:, [0, -1]]
+        m[:, [0, -1]] = 0.5 * (edges + np.conj(edges[-np.arange(self.N)]))
         self._cache[key] = m
         return m
 
@@ -144,58 +164,94 @@ class TorusGrid:
 class GridField:
     """Algebra-valued grid function; immutable.
 
-    values: real array (dim, N, N), made read-only on construction; a lazily
-    cached half-plane spectrum (rhat) avoids repeated transforms when several
-    multipliers hit the same field.
+    A field stores its point values (real, (dim, N, N)), its mean-normalized
+    half-plane spectrum rhat (rfft2 / N^2, (dim, N, N/2 + 1)), or both.  The
+    missing one is made by one transform on first use and kept; values are
+    read-only once made.  The finiteness check runs on what the field is
+    built from (its values if given, else its spectrum).
+
+    Multipliers (dx, riesz, lambda_pow, ...) multiply rhat by a symbol
+    lattice and return a spectrum-only field, memoized per field and symbol
+    (the memo holds only results, so it makes no reference cycle).  +, - and
+    scalar * act on every representation both operands have, and on rhat
+    when they share none.  A truncated field's spectrum vanishes outside the
+    2/3-rule mask: dealiased products and multipliers of truncated fields are
+    truncated, so their values need no further truncation.
     """
 
-    __slots__ = ("spec", "grid", "values", "_rhat", "_mcache")
+    __slots__ = ("spec", "grid", "_values", "_rhat", "_truncated", "_mcache")
 
-    def __init__(self, spec: AlgebraSpec, grid: TorusGrid, values: np.ndarray,
-                 rhat=None):
-        values = np.asarray(values, dtype=float)
-        if values.shape != (spec.dim, grid.N, grid.N):
-            raise ValueError(
-                f"expected shape {(spec.dim, grid.N, grid.N)}, got {values.shape}"
-            )
-        if not np.all(np.isfinite(values)):
-            raise FloatingPointError("non-finite values in grid field")
-        # no copy: the caller's array becomes read-only too, so the cached
-        # spectrum cannot go stale through an in-place write
-        values.flags.writeable = False
+    def __init__(self, spec: AlgebraSpec, grid: TorusGrid, values=None, rhat=None,
+                 truncated: bool = False):
+        N = grid.N
+        if values is not None:
+            # no copy: the caller's array becomes read-only too, so the
+            # stored spectrum cannot go stale through an in-place write
+            values = np.asarray(values, dtype=float)
+            _check_lattice(values, (spec.dim, N, N))
+            values.flags.writeable = False
+        elif rhat is not None:
+            _check_lattice(rhat, (spec.dim, N, N // 2 + 1))
+        else:
+            raise ValueError("a grid field needs values or rhat")
         self.spec = spec
         self.grid = grid
-        self.values = values
+        self._values = values
         self._rhat = rhat
+        self._truncated = truncated
         self._mcache = {}
 
     @staticmethod
     def zero(spec, grid):
-        return GridField(spec, grid, np.zeros((spec.dim, grid.N, grid.N)))
+        shape = (spec.dim, grid.N, grid.N)
+        return GridField(spec, grid, np.zeros(shape),
+                         np.zeros(shape[:2] + (grid.N // 2 + 1,), dtype=complex),
+                         truncated=True)
 
     @staticmethod
     def from_rhat(spec, grid, rhat):
-        vals = np.fft.irfft2(rhat, s=(grid.N, grid.N), axes=(-2, -1)) * grid.N**2
-        return GridField(spec, grid, vals, rhat=rhat)
+        return GridField(spec, grid, rhat=rhat)
+
+    @property
+    def values(self):
+        """Point values (dim, N, N), read-only."""
+        if self._values is None:
+            N = self.grid.N
+            vals = np.fft.irfft2(self._rhat, s=(N, N), axes=(-2, -1), norm="forward")
+            vals.flags.writeable = False
+            self._values = vals
+        return self._values
 
     @property
     def rhat(self):
         """Mean-normalized half-plane coefficients (rfft2 / N^2)."""
         if self._rhat is None:
-            self._rhat = np.fft.rfft2(self.values, axes=(-2, -1)) / self.grid.N**2
+            self._rhat = np.fft.rfft2(self._values, axes=(-2, -1), norm="forward")
         return self._rhat
 
     # --- linear structure -------------------------------------------------
-    def __add__(self, other):
+    def _combine(self, other, op):
         self._check(other)
-        return GridField(self.spec, self.grid, self.values + other.values)
+        values = rhat = None
+        if self._values is not None and other._values is not None:
+            values = op(self._values, other._values)
+        if self._rhat is not None and other._rhat is not None:
+            rhat = op(self._rhat, other._rhat)
+        if values is None and rhat is None:
+            rhat = op(self.rhat, other.rhat)
+        return GridField(self.spec, self.grid, values, rhat,
+                         self._truncated and other._truncated)
+
+    def __add__(self, other):
+        return self._combine(other, np.add)
 
     def __sub__(self, other):
-        self._check(other)
-        return GridField(self.spec, self.grid, self.values - other.values)
+        return self._combine(other, np.subtract)
 
     def __mul__(self, s):
-        return GridField(self.spec, self.grid, self.values * s)
+        values = None if self._values is None else self._values * s
+        rhat = None if self._rhat is None else self._rhat * s
+        return GridField(self.spec, self.grid, values, rhat, self._truncated)
 
     __rmul__ = __mul__
 
@@ -209,14 +265,15 @@ class GridField:
             raise ValueError("algebra mismatch")
 
     # --- multiplier calculus ---------------------------------------------
-    def _apply_symbol(self, m):
+    def _apply_symbol(self, m, truncates=False):
         # memoize by symbol-array identity: the grid caches its multiplier
         # lattices, so repeated applications of the same operator to one
-        # immutable field cost a dict lookup instead of two transforms
+        # immutable field cost a dict lookup
         key = id(m)
         out = self._mcache.get(key)
         if out is None:
-            out = GridField.from_rhat(self.spec, self.grid, self.rhat * m)
+            out = GridField(self.spec, self.grid, rhat=self.rhat * m,
+                            truncated=truncates or self._truncated)
             self._mcache[key] = out
         return out
 
@@ -239,7 +296,9 @@ class GridField:
         return self._apply_symbol(self.grid.multiplier_array("laplacian"))
 
     def dealias(self):
-        return self._apply_symbol(self.grid.dealias_mask)
+        if self._truncated:
+            return self
+        return self._apply_symbol(self.grid.dealias_mask, truncates=True)
 
     def l2_norm(self) -> float:
         """Grid-quadrature L^2 norm over the torus."""
@@ -250,29 +309,28 @@ class GridField:
         return float(np.max(np.sqrt(np.sum(self.values**2, axis=0))))
 
 
-def dealiased_product(u: GridField, v: GridField, kind: str, dealias=True) -> GridField:
-    """Pointwise 'bracket' (structure constants) or 'scalar' (componentwise).
+def _check_lattice(a: np.ndarray, shape: tuple):
+    if a.shape != shape:
+        raise ValueError(f"expected shape {shape}, got {a.shape}")
+    if not np.all(np.isfinite(a)):
+        raise FloatingPointError("non-finite values in grid field")
 
-    2/3-rule truncation on inputs and output unless dealias=False.
-    """
+
+def dealiased_product(u: GridField, v: GridField, kind: str) -> GridField:
+    """Pointwise 'bracket' (structure constants) or 'scalar' (componentwise)
+    product of the 2/3-rule truncations of u and v, truncated again."""
     u._check(v)
-    key = ("prod", id(v), kind, dealias)
-    cached = u._mcache.get(key)
-    # the cache entry pins v, so its id cannot be recycled while cached
-    if cached is not None and cached[0] is v:
-        return cached[1]
-    uu, vv = (u.dealias(), v.dealias()) if dealias else (u, v)
+    # the truncated values of a factor are made once and kept in its memo
+    uu, vv = u.dealias().values, v.dealias().values
     if kind == "bracket":
-        w = bracket_coeffs(u.spec, uu.values, vv.values)
+        w = bracket_coeffs(u.spec, uu, vv)
     elif kind == "scalar":
-        w = uu.values * vv.values
+        w = uu * vv
     else:
         raise ValueError(f"unknown product kind {kind!r}")
-    out = GridField(u.spec, u.grid, w)
-    if dealias:
-        out = out.dealias()
-    u._mcache[key] = (v, out)
-    return out
+    rhat = np.fft.rfft2(w, axes=(-2, -1), norm="forward")
+    rhat *= u.grid.dealias_mask
+    return GridField(u.spec, u.grid, rhat=rhat, truncated=True)
 
 
 def discrete_norm(u: GridField, s: float, r: float) -> float:

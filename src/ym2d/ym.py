@@ -15,7 +15,6 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .algebra import bracket_coeffs
 from .nullforms import SpacetimePair, _product, calligraphic_q, null_form
 from .planewave import PlaneWaveField, pw_residual_norm
 from .spectral import GridField

@@ -71,6 +71,20 @@ def test_bracket_coeffs_agrees_with_bracket():
 
 
 @pytest.mark.parametrize("spec", SPECS, ids=str)
+@pytest.mark.parametrize("x_tail,y_tail", [
+    ((), ()), ((16, 16), (16, 16)), ((16, 9), ()), ((), (5, 7)), ((4, 1), (1, 6)),
+])
+def test_bracket_coeffs_matches_einsum_reference(spec, x_tail, y_tail):
+    rng = np.random.default_rng(spec.dim)
+    x = rng.standard_normal((spec.dim,) + x_tail)
+    y = rng.standard_normal((spec.dim,) + y_tail)
+    ref = np.einsum("abc,a...,b...->c...", spec.structure, x, y)
+    got = bracket_coeffs(spec, x, y)
+    assert got.shape == ref.shape
+    assert np.max(np.abs(got - ref)) <= 1e-14 * np.max(np.abs(ref))
+
+
+@pytest.mark.parametrize("spec", SPECS, ids=str)
 def test_group_exp_lands_in_group(spec):
     U = group_exp(random_element(spec, 8, 0.5))
     assert np.allclose(U @ np.conj(U).T, np.eye(spec.n), atol=1e-12)

@@ -130,6 +130,18 @@ def test_check_estimates_small(tmp_path, capsys):
     assert "FAIL ellipticISweep" in stdout
 
 
+def test_check_estimates_has_no_count(tmp_path, capsys):
+    # the empirical constants draw their own trials; a sample count would be
+    # ignored, so it is refused from a flag and from a config file alike
+    out = str(tmp_path / "e.jsonl")
+    assert main(["check-estimates", "--count", "5", "--out", out]) == 2
+    cfg = tmp_path / "cfg.json"
+    cfg.write_text(json.dumps({"count": 5}))
+    assert main(["check-estimates", "--config", str(cfg), "--out", out]) == 2
+    assert "unknown config keys: ['count']" in capsys.readouterr().err
+    assert sorted(p.name for p in tmp_path.iterdir()) == ["cfg.json"]  # no manifest
+
+
 def test_check_estimates_rejects_bad_id(tmp_path):
     rc = main([
         "check-estimates", "--estimate-ids", "99",

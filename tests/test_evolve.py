@@ -1,3 +1,5 @@
+import gc
+
 import numpy as np
 import pytest
 
@@ -5,6 +7,7 @@ from ym2d.algebra import su
 from ym2d.evolve import (
     EvolveConfig,
     _hw_norm,
+    _second_order_rhs,
     analytic_potential,
     array_from_state,
     evolve_and_monitor,
@@ -18,7 +21,7 @@ from ym2d.evolve import (
     to_half_wave,
 )
 from ym2d.spectral import TorusGrid, discrete_norm
-from ym2d.ym import project_gauss_data, state_from_potential
+from ym2d.ym import assemble_rhs, project_gauss_data, state_from_potential
 
 SPEC = su(2)
 
@@ -199,3 +202,34 @@ def test_every_stepper_runs_through_the_monitored_driver():
         last_twin[stepper] = records[-1].twin_diff
     # the twin is RK4, so the second-order stepper sits closer to it
     assert last_twin["ExpRK2"] < last_twin["ExpEuler"]
+
+
+# one assemble_rhs at su(2), N = 16 from values-only fields (the RK4 path):
+# 299 rfft2 (one per product, one per state field with a multiplier) and 179
+# irfft2 (one per distinct product factor)
+RHS_TRANSFORMS = 299 + 179
+
+
+def test_assemble_rhs_transform_count(monkeypatch):
+    grid = TorusGrid(16)
+    st = state_from_array(SPEC, grid, array_from_state(_state(seed=3, N=16)))
+    calls = []
+    for name in ("rfft2", "irfft2"):
+        def counted(*args, _fn=getattr(np.fft, name), **kwargs):
+            calls.append(_fn)
+            return _fn(*args, **kwargs)
+        monkeypatch.setattr(np.fft, name, counted)
+    assemble_rhs(st)
+    assert 0 < len(calls) <= RHS_TRANSFORMS
+
+
+def test_rhs_makes_no_reference_cycles():
+    y = array_from_state(_state(seed=4, N=16))
+    grid = TorusGrid(16)
+    gc.collect()
+    gc.disable()
+    try:
+        _second_order_rhs(SPEC, grid, y)
+        assert gc.collect() == 0
+    finally:
+        gc.enable()

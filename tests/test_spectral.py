@@ -135,3 +135,34 @@ def test_snapshot_rejects_bad_magic():
     buf = io.BytesIO(b"NOPE" + bytes(64))
     with pytest.raises(ValueError):
         read_snapshot(buf, SPEC)
+
+
+@pytest.mark.parametrize("chain", ["dx2.dx2", "riesz1.dx1"])
+def test_odd_multiplier_chain_matches_eager_transforms(chain):
+    # white noise has content at the Nyquist frequencies, where a lazy chain
+    # of odd symbols would keep what an inverse real transform drops
+    f = _field(5)
+    grid, N = f.grid, f.grid.N
+    k1, k2 = grid.rfreqs
+    if chain == "dx2.dx2":
+        lazy, symbols = f.dx(2).dx(2), (1j * k2, 1j * k2)
+    else:
+        lazy, symbols = f.riesz(1).dx(1), (1j * k1 / grid.xi_bracket, 1j * k1)
+    vals = f.values
+    for m in symbols:
+        vals = np.fft.irfft2(np.fft.rfft2(vals) / N**2 * m, s=(N, N)) * N**2
+    assert np.max(np.abs(lazy.values - vals)) <= 1e-13 * np.max(np.abs(vals))
+
+
+def test_fields_store_values_or_spectrum():
+    f = _field(6)
+    g = f.dx(1)
+    assert g._values is None  # a multiplier transforms nothing
+    assert (g - f.laplacian())._values is None
+    assert np.array_equal((2.0 * f).values, 2.0 * f.values)
+    with pytest.raises(ValueError):
+        g.values[0, 0, 0] = 1.0
+    with pytest.raises(FloatingPointError):
+        GridField.from_rhat(SPEC, f.grid, f.rhat * np.nan)
+    with pytest.raises(ValueError):
+        GridField(SPEC, f.grid)

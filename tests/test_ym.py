@@ -8,6 +8,7 @@ from ym2d.planewave import lorenz_compatible
 from ym2d.spectral import GridField, TorusGrid
 from ym2d.ym import (
     FieldState,
+    assemble_rhs,
     constraint_residuals,
     curvature,
     energy,
@@ -124,3 +125,29 @@ def test_project_gauss_data_requires_grid_fields():
     a = lorenz_compatible(SPEC, 2, rng_seed=0)
     with pytest.raises(TypeError):
         project_gauss_data(a, tuple(u.dt() for u in a))
+
+
+@pytest.mark.parametrize("n", [2, 3])
+def test_assembled_rhs_matches_eager_transforms(n, monkeypatch):
+    spec, grid = su(n), TorusGrid(16)
+    # scale 0.1 at N = 16: strong brackets and content at the Nyquist frequencies
+    a, a_dot = analytic_potential(spec, grid, 2, 1e-1)
+
+    def fields():
+        st = state_from_potential(a, a_dot)
+        comps = list(st.A) + list(st.F)
+        return [p.value for p in comps] + [p.time_deriv for p in comps] + list(
+            assemble_rhs(st))
+
+    lazy = [f.values for f in fields()]
+
+    def eager(self, m, truncates=False):
+        # a values-only result: the next link transforms forward again
+        N = self.grid.N
+        vals = np.fft.irfft2(self.rhat * m, s=(N, N), axes=(-2, -1)) * N**2
+        return GridField(self.spec, self.grid, vals)
+
+    monkeypatch.setattr(GridField, "_apply_symbol", eager)
+    for got, f in zip(lazy, fields()):
+        want = f.values
+        assert np.max(np.abs(got - want)) <= 1e-13 * np.max(np.abs(want))
