@@ -23,6 +23,7 @@ large samples, plus resolution-stability for the grid sweeps.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
+import math
 
 import numpy as np
 from scipy.integrate import quad
@@ -358,22 +359,35 @@ def delta_integral_ellipse(tau: float, xi, a: float, b: float, tol: float = 1e-8
     r2 = |xi - eta|) the area element is
         d eta = (u^2 - v^2) / (4 sqrt(u^2 - |xi|^2) sqrt(|xi|^2 - v^2)) du dv
     per half-plane, so the delta integral reduces to an exact 1D integral in
-    v which the substitution v = |xi| sin(phi) makes smooth up to and
-    including the degenerate limits tau -> |xi| and xi -> 0.
+    v, which the substitution v = |xi| sin(phi) makes bounded (smooth for
+    xi -> 0).
+
+    As tau -> |xi| the integrand peaks in endpoint layers at phi = +-pi/2 of
+    width w = (2 (tau - |xi|) / |xi|)^(1/2).  There r1, r2 are taken as
+    (tau - |xi|)/2 + |xi| sin^2(pi/4 +- phi/2), which avoids the cancellation
+    in (tau -+ |xi| sin(phi))/2, and quad gets breakpoints at
+    +-(pi/2 - k w) for k = 1, 1e2, 1e4 while k w < 0.5, so that it resolves
+    the layers (checked down to tau/|xi| - 1 = 1e-13).
     """
     xi = np.asarray(xi, dtype=float)
     nxi = float(np.hypot(*xi))
     if tau <= nxi:
         raise ValueError("ellipse case requires tau > |xi|")
+    half_gap = (tau - nxi) / 2.0
 
     def integrand(phi):
-        v = nxi * np.sin(phi)
-        r1 = (tau + v) / 2.0
-        r2 = (tau - v) / 2.0
-        return (tau**2 - v**2) * r1 ** (-a) * r2 ** (-b)
+        r1 = half_gap + nxi * math.sin(math.pi / 4.0 + phi / 2.0) ** 2
+        r2 = half_gap + nxi * math.sin(math.pi / 4.0 - phi / 2.0) ** 2
+        return 4.0 * r1 ** (1.0 - a) * r2 ** (1.0 - b)  # (tau^2 - v^2) r1^-a r2^-b
 
-    val, _ = quad(integrand, -np.pi / 2.0, np.pi / 2.0, epsrel=tol, epsabs=0.0,
-                  limit=200)
+    edge = math.pi / 2.0
+    breaks = []
+    if nxi > 0.0:
+        w = math.sqrt(2.0 * (tau - nxi) / nxi)
+        breaks = [s * (edge - k * w) for k in (1.0, 1e2, 1e4) if k * w < 0.5
+                  for s in (-1.0, 1.0)]
+    val, _ = quad(integrand, -edge, edge, epsrel=tol, epsabs=0.0, limit=200,
+                  points=breaks or None)
     return float(val / (2.0 * np.sqrt(tau**2 - nxi**2)))
 
 
@@ -475,13 +489,11 @@ def _deriv_variants(p: SpacetimePair):
     return (SpacetimePair(p.time_deriv, p.time_deriv), p.dx(1))
 
 
-def _pair_product(x: SpacetimePair, y: SpacetimePair, commutator=True):
-    from .nullforms import _product
-
-    return _product(x.value, y.value, commutator)
+def _pair_product(x: SpacetimePair, y: SpacetimePair):
+    return x.value.bracket(y.value)
 
 
-def _expression_norms(estimate_id, spec, grid, pairs, s, l, r):
+def _expression_norms(estimate_id, grid, pairs, s, l, r):
     """Output-norm candidates of the named multilinear expression.
 
     pairs: enough independent unit-norm free-wave inputs (A-type at weight s,
@@ -606,7 +618,7 @@ def _sup_constant(estimate_id, spec, grid, rng, trials, s, l, r):
             "A": [_free_wave_pair(spec, grid, rng, s, r, band) for _ in range(4)],
             "F": [_free_wave_pair(spec, grid, rng, l, r, band) for _ in range(2)],
         }
-        val = max(_expression_norms(estimate_id, spec, grid, pairs, s, l, r))
+        val = max(_expression_norms(estimate_id, grid, pairs, s, l, r))
         if val > sup:
             sup = val
             arg = {"trial": trial, "N": grid.N}

@@ -84,37 +84,35 @@ def array_from_state(state: FieldState) -> np.ndarray:
     )
 
 
+def _pairs_from_array(spec, grid, y) -> list:
+    """One SpacetimePair per component y[c] = (value, time derivative)."""
+    return [SpacetimePair(GridField(spec, grid, yc[0]), GridField(spec, grid, yc[1]))
+            for yc in y]
+
+
 def state_from_array(spec: AlgebraSpec, grid: TorusGrid, y: np.ndarray) -> FieldState:
-    pairs = [
-        SpacetimePair(GridField(spec, grid, y[c, 0]), GridField(spec, grid, y[c, 1]))
-        for c in range(N_COMPONENTS)
-    ]
+    pairs = _pairs_from_array(spec, grid, y)
     return FieldState(tuple(pairs[:3]), tuple(pairs[3:]))
+
+
+def _wave_dy(y, pairs, rhs) -> np.ndarray:
+    """d/dt (u, u_t) = (u_t, Laplace u - RHS) per component."""
+    dy = np.empty_like(y)
+    for c, (p, r) in enumerate(zip(pairs, rhs)):
+        dy[c, 0] = y[c, 1]
+        dy[c, 1] = (p.value.laplacian() - r).values
+    return dy
 
 
 def _second_order_rhs(spec, grid, y) -> np.ndarray:
     st = state_from_array(spec, grid, y)
-    rhs = assemble_rhs(st)
-    dy = np.empty_like(y)
-    comps = list(st.A) + list(st.F)
-    for c in range(N_COMPONENTS):
-        dy[c, 0] = y[c, 1]
-        dy[c, 1] = (comps[c].value.laplacian() - rhs[c]).values
-    return dy
+    return _wave_dy(y, st.A + st.F, assemble_rhs(st))
 
 
 def _ym4_rhs_array(spec, grid, y) -> np.ndarray:
     """Reference evolution of A alone by the direct expansion."""
-    A = tuple(
-        SpacetimePair(GridField(spec, grid, y[c, 0]), GridField(spec, grid, y[c, 1]))
-        for c in range(3)
-    )
-    rhs = ym4_rhs(A)
-    dy = np.empty_like(y)
-    for c in range(3):
-        dy[c, 0] = y[c, 1]
-        dy[c, 1] = (A[c].value.laplacian() - rhs[c]).values
-    return dy
+    A = tuple(_pairs_from_array(spec, grid, y))
+    return _wave_dy(y, A, ym4_rhs(A))
 
 
 def _rk4(f, y, dt):

@@ -17,7 +17,6 @@ from .planewave import (
     PlaneWaveField,
     lorenz_compatible,
     pw_product,
-    pw_residual_norm,
     random_field,
 )
 from .ym import (
@@ -63,7 +62,7 @@ def check_nullform_trick(spec, seed, scale=DEFAULT_SCALE, modes=DEFAULT_MODES):
     for kind, (a, b) in (("Q01", (0, 1)), ("Q02", (0, 2)), ("Q12", (1, 2))):
         lhs = pw_product(u.deriv(a), u.deriv(b), "bracket")
         rhs = 0.5 * null_form(kind, u, u, commutator=True)
-        worst = max(worst, pw_residual_norm(lhs - rhs))
+        worst = max(worst, (lhs - rhs).norm())
     return worst
 
 
@@ -76,7 +75,7 @@ def check_null0(spec, seed, scale=DEFAULT_SCALE, modes=DEFAULT_MODES):
     u = tuple(p.lambda_pow(-1.0) for p in st.A)
     smooth_A = tuple(p.lambda_pow(-2.0) for p in st.A)
     rhs = calligraphic_q(*u, phi) + _raised_bracket_sum(smooth_A, phi)
-    return pw_residual_norm(lhs - rhs)
+    return (lhs - rhs).norm()
 
 
 def check_null1(spec, seed, scale=DEFAULT_SCALE, modes=DEFAULT_MODES):
@@ -85,7 +84,7 @@ def check_null1(spec, seed, scale=DEFAULT_SCALE, modes=DEFAULT_MODES):
     phi = SpacetimePair.from_planewave(_phi(spec, seed, scale, modes))
     lhs = _raised_bracket_sum(st.A, phi, deriv_of_A=True)
     rhs = null_form("Q01", st.A[1], phi) + null_form("Q02", st.A[2], phi)
-    return pw_residual_norm(lhs - rhs)
+    return (lhs - rhs).norm()
 
 
 def _null23_pieces(st, phi):
@@ -118,7 +117,7 @@ def check_null2(spec, seed, scale=DEFAULT_SCALE, modes=DEFAULT_MODES):
         # Q_{i0}(u, v) = -Q_{0i}(u, v)
         rhs = rhs - null_form(f"Q0{i}", r[i - 1], phi, commutator=False)
     rhs = rhs + prod_sum(smooth)
-    return pw_residual_norm(lhs - rhs)
+    return (lhs - rhs).norm()
 
 
 def check_null3(spec, seed, scale=DEFAULT_SCALE, modes=DEFAULT_MODES):
@@ -146,7 +145,7 @@ def check_null3(spec, seed, scale=DEFAULT_SCALE, modes=DEFAULT_MODES):
     for i in (1, 2):
         rhs = rhs + null_form(f"Q0{i}", phi, r[i - 1], commutator=False)
     rhs = rhs + prod_sum(smooth)
-    return pw_residual_norm(lhs - rhs)
+    return (lhs - rhs).norm()
 
 
 def check_gamma_decomposition(spec, seed, scale=DEFAULT_SCALE, modes=DEFAULT_MODES):
@@ -163,7 +162,7 @@ def check_gamma_decomposition(spec, seed, scale=DEFAULT_SCALE, modes=DEFAULT_MOD
         rhs = None
         for g in gamma_terms(st, beta):
             rhs = g if rhs is None else rhs + g
-        worst = max(worst, pw_residual_norm(lhs - rhs))
+        worst = max(worst, (lhs - rhs).norm())
     return worst
 
 
@@ -175,7 +174,7 @@ def check_af_equivalence(spec, seed, scale=DEFAULT_SCALE, modes=DEFAULT_MODES):
     z = ymf2_rhs(st)
     worst = 0.0
     for lhs, rhs in zip((m0, m1, m2, n01, n02, n12), (*y, *z)):
-        worst = max(worst, pw_residual_norm(lhs - rhs))
+        worst = max(worst, (lhs - rhs).norm())
     return worst
 
 
@@ -198,7 +197,7 @@ def check_scaling_covariance(spec, seed, scale=DEFAULT_SCALE, modes=DEFAULT_MODE
             s = box(st.A[beta].value) - rhs[beta]
             s_lam = box(A_lam[beta].value) - rhs_lam[beta]
             diff = s_lam - (lam**3) * s.rescale(lam)
-            worst = max(worst, pw_residual_norm(diff))
+            worst = max(worst, diff.norm())
     return worst
 
 
@@ -210,9 +209,9 @@ def check_data_consistency(spec, seed, scale=DEFAULT_SCALE, modes=DEFAULT_MODES)
     f01, f02, f12, *_ = data_from_potential(a, a_dot)
     fc = curvature(st.A)
     return max(
-        pw_residual_norm(f01 - fc[0]),
-        pw_residual_norm(f02 - fc[1]),
-        pw_residual_norm(f12 - fc[2]),
+        (f01 - fc[0]).norm(),
+        (f02 - fc[1]).norm(),
+        (f12 - fc[2]).norm(),
     )
 
 

@@ -3,6 +3,11 @@
 All operators act on SpacetimePair states (value + first time derivative) and
 work uniformly for exact plane-wave fields and pseudospectral grid fields.
 Metric convention diag(-1, 1, 1): raised index d^0 = -d_t, d^i = d_i.
+
+A field type provides the linear structure (+, -, scalar *), the spatial
+multipliers dx, lambda_pow, d_pow and riesz, and bracket(other), the
+pointwise commutator; the uncommuted forms (commutator=False) also need
+@, the ordered pointwise product, which only plane-wave fields have.
 """
 
 from __future__ import annotations
@@ -11,18 +16,11 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .planewave import PlaneWaveField, pw_product
-from .spectral import GridField, dealiased_product
-
 Q_KINDS = ("Q0", "Q01", "Q02", "Q12", "q0", "q01", "q02", "q12")
 
 
 def _product(x, y, commutator: bool):
-    if isinstance(x, PlaneWaveField):
-        return pw_product(x, y, "bracket" if commutator else "matrix")
-    if isinstance(x, GridField):
-        return dealiased_product(x, y, "bracket" if commutator else "scalar")
-    raise TypeError(f"unsupported field type {type(x).__name__}")
+    return x.bracket(y) if commutator else x @ y
 
 
 @dataclass(frozen=True)
@@ -37,15 +35,9 @@ class SpacetimePair:
     time_deriv: object
 
     @staticmethod
-    def from_planewave(u: PlaneWaveField) -> "SpacetimePair":
+    def from_planewave(u) -> "SpacetimePair":
+        """A plane-wave field with its exact time derivative."""
         return SpacetimePair(u, u.dt())
-
-    @staticmethod
-    def static(u) -> "SpacetimePair":
-        """Field with vanishing time derivative."""
-        if isinstance(u, PlaneWaveField):
-            return SpacetimePair(u, PlaneWaveField.zero(u.n, u.cap))
-        return SpacetimePair(u, GridField.zero(u.spec, u.grid))
 
     def deriv(self, alpha: int):
         """Coordinate derivative d_alpha as a plain field (lower index)."""

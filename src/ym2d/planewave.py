@@ -52,13 +52,6 @@ class PlaneWaveField:
             acc[k] = acc.get(k, 0) + c
         return PlaneWaveField(n, _canonicalize(acc), cap)
 
-    @staticmethod
-    def zero(n, cap=DEFAULT_MODE_CAP):
-        return PlaneWaveField(n, {}, cap)
-
-    def items(self):
-        return self.modes.items()
-
     @property
     def mode_count(self) -> int:
         return len(self.modes)
@@ -87,6 +80,21 @@ class PlaneWaveField:
 
     def __neg__(self):
         return (-1.0) * self
+
+    # --- products and norm --------------------------------------------------
+    def bracket(self, other):
+        """Pointwise commutator [u, v] (exact)."""
+        return pw_product(self, other, "bracket")
+
+    def __matmul__(self, other):
+        """Pointwise ordered matrix product u v (exact)."""
+        return pw_product(self, other, "matrix")
+
+    def norm(self) -> float:
+        """Max over modes of the Frobenius norm of the coefficient."""
+        if self.is_zero():
+            return 0.0
+        return max(float(np.linalg.norm(c)) for c in self.modes.values())
 
     # --- calculus ---------------------------------------------------------
     def dt(self):
@@ -176,13 +184,6 @@ def pw_product(u: PlaneWaveField, v: PlaneWaveField, kind: str) -> PlaneWaveFiel
     if f.mode_count > u.cap:
         raise ValueError(f"mode count {f.mode_count} exceeds cap {u.cap}")
     return f
-
-
-def pw_residual_norm(u: PlaneWaveField) -> float:
-    """Max over modes of the Frobenius norm of the coefficient."""
-    if u.is_zero():
-        return 0.0
-    return max(float(np.linalg.norm(c)) for c in u.modes.values())
 
 
 def random_field(

@@ -300,7 +300,11 @@ class GridField:
             return self
         return self._apply_symbol(self.grid.dealias_mask, truncates=True)
 
-    def l2_norm(self) -> float:
+    def bracket(self, other):
+        """Dealiased pointwise commutator [u, v]."""
+        return dealiased_product(self, other)
+
+    def norm(self) -> float:
         """Grid-quadrature L^2 norm over the torus."""
         h = self.grid.L / self.grid.N
         return float(np.sqrt(np.sum(self.values**2) * h * h))
@@ -316,18 +320,12 @@ def _check_lattice(a: np.ndarray, shape: tuple):
         raise FloatingPointError("non-finite values in grid field")
 
 
-def dealiased_product(u: GridField, v: GridField, kind: str) -> GridField:
-    """Pointwise 'bracket' (structure constants) or 'scalar' (componentwise)
-    product of the 2/3-rule truncations of u and v, truncated again."""
+def dealiased_product(u: GridField, v: GridField) -> GridField:
+    """Pointwise bracket [u, v] (structure constants) of the 2/3-rule
+    truncations of u and v, truncated again."""
     u._check(v)
     # the truncated values of a factor are made once and kept in its memo
-    uu, vv = u.dealias().values, v.dealias().values
-    if kind == "bracket":
-        w = bracket_coeffs(u.spec, uu, vv)
-    elif kind == "scalar":
-        w = uu * vv
-    else:
-        raise ValueError(f"unknown product kind {kind!r}")
+    w = bracket_coeffs(u.spec, u.dealias().values, v.dealias().values)
     rhat = np.fft.rfft2(w, axes=(-2, -1), norm="forward")
     rhat *= u.grid.dealias_mask
     return GridField(u.spec, u.grid, rhat=rhat, truncated=True)

@@ -6,6 +6,12 @@ their full null-form structure.  Everything is generic over the exact
 plane-wave calculus and the pseudospectral grid representation; the grid and
 plane-wave paths share one code path through SpacetimePair.
 
+A field type provides what nullforms needs of it (+, -, scalar *, dx,
+lambda_pow, d_pow, riesz, bracket) and norm(): the max-coefficient norm for
+plane waves, the discrete L^2 norm for grid fields, used for constraint
+residuals and energy.  Time derivatives come from the SpacetimePair, never
+from the field.  Only gauge_transform and project_gauss_data are grid-only.
+
 Metric diag(-1, 1, 1): raised index A^0 = -A_0, A^i = A_i.
 """
 
@@ -15,22 +21,14 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .nullforms import SpacetimePair, _product, calligraphic_q, null_form
-from .planewave import PlaneWaveField, pw_residual_norm
+from .nullforms import SpacetimePair, calligraphic_q, null_form
 from .spectral import GridField
 
 METRIC_SIGN = (-1.0, 1.0, 1.0)  # eta^{alpha alpha}
 
 
 def _br(x, y):
-    return _product(x, y, commutator=True)
-
-
-def residual_norm(x) -> float:
-    """Max-coefficient norm for plane waves, discrete L^2 norm for grids."""
-    if isinstance(x, PlaneWaveField):
-        return pw_residual_norm(x)
-    return x.l2_norm()
+    return x.bracket(y)
 
 
 @dataclass(frozen=True)
@@ -51,17 +49,11 @@ class FieldState:
     def f(self, beta: int, gamma: int) -> SpacetimePair:
         """F_{beta gamma} with antisymmetry; F_{bb} = 0."""
         if beta == gamma:
-            return SpacetimePair.static(_zero_like(self.A[0].value))
+            return 0.0 * self.A[0]
         table = {(0, 1): self.F[0], (0, 2): self.F[1], (1, 2): self.F[2]}
         if (beta, gamma) in table:
             return table[(beta, gamma)]
         return -1.0 * table[(gamma, beta)]
-
-
-def _zero_like(u):
-    if isinstance(u, PlaneWaveField):
-        return PlaneWaveField.zero(u.n, u.cap)
-    return GridField.zero(u.spec, u.grid)
 
 
 # --- curvature, data, constraints, energy ---------------------------------
@@ -114,15 +106,18 @@ def constraint_residuals(state: FieldState) -> tuple:
     compat = max_components ||F - F[A]||.
     """
     a0, a1, a2 = state.A
-    lorenz = residual_norm(a0.time_deriv - a1.value.dx(1) - a2.value.dx(2))
-    g = _zero_like(a0.value)
-    for i in (1, 2):
-        fi0 = -1.0 * state.f(0, i).value  # F_{i0}
-        g = g + fi0.dx(i) + _br(state.A[i].value, fi0)
-    gauss = residual_norm(g)
+    lorenz = (a0.time_deriv - a1.value.dx(1) - a2.value.dx(2)).norm()
+    gauss = _gauss_field(state)[0].norm()
     fc = curvature(state.A)
-    compat = max(residual_norm(state.F[k].value - fc[k]) for k in range(3))
+    compat = max((state.F[k].value - fc[k]).norm() for k in range(3))
     return lorenz, gauss, compat
+
+
+def _gauss_field(state: FieldState) -> tuple:
+    """(g, (F_10, F_20)) with g = d^i F_{i0} + [A^i, F_{i0}]."""
+    f10, f20 = (-1.0 * state.f(0, i).value for i in (1, 2))
+    g = f10.dx(1) + _br(state.A[1].value, f10) + f20.dx(2) + _br(state.A[2].value, f20)
+    return g, (f10, f20)
 
 
 def energy(state: FieldState) -> float:
@@ -134,14 +129,8 @@ def energy(state: FieldState) -> float:
     """
     total = 0.0
     for p in state.F:
-        total += 2.0 * _l2_sq(p.value)
+        total += 2.0 * p.value.norm() ** 2
     return total
-
-
-def _l2_sq(x) -> float:
-    if isinstance(x, GridField):
-        return x.l2_norm() ** 2
-    return pw_residual_norm(x) ** 2
 
 
 # --- gauge transformation (grid representation) ---------------------------
@@ -197,12 +186,17 @@ def gauge_transform(state: FieldState, U: np.ndarray, tol: float = 1e-8) -> Fiel
 
 # --- direct expansions (oracles for the assembled system) -----------------
 
+def _sum(terms):
+    """Left-to-right sum of a nonempty sequence of fields."""
+    out = terms[0]
+    for t in terms[1:]:
+        out = out + t
+    return out
+
+
 def _raised_sum(terms):
     """sum_alpha METRIC_SIGN[alpha] * terms[alpha]."""
-    out = METRIC_SIGN[0] * terms[0]
-    for alpha in (1, 2):
-        out = out + METRIC_SIGN[alpha] * terms[alpha]
-    return out
+    return _sum([sign * t for sign, t in zip(METRIC_SIGN, terms)])
 
 
 def ym4_rhs(A: tuple) -> tuple:
@@ -323,24 +317,23 @@ def gamma_terms(state: FieldState, beta: int) -> tuple:
     else:
         df12 = f12.value.dx(beta)
         daa = aa.dx(beta)
-    g3 = _zero_like(a0.value)
-    for j in (1, 2):
-        g3 = (
-            g3
-            + _br(f12.value.dx(j).lambda_pow(-2.0), df12.dx(j).lambda_pow(-2.0))
-            - _br(f12.value.dx(j).lambda_pow(-2.0), daa.dx(j).lambda_pow(-2.0))
-            - _br(aa.dx(j).lambda_pow(-2.0), df12.dx(j).lambda_pow(-2.0))
-            + _br(aa.dx(j).lambda_pow(-2.0), daa.dx(j).lambda_pow(-2.0))
-        )
+
+    def smooth(x, j):
+        return x.dx(j).lambda_pow(-2.0)
+
+    g3 = _sum([
+        _br(smooth(f12.value, j), smooth(df12, j))
+        - _br(smooth(f12.value, j), smooth(daa, j))
+        - _br(smooth(aa, j), smooth(df12, j))
+        + _br(smooth(aa, j), smooth(daa, j))
+        for j in (1, 2)
+    ])
 
     # Gamma^4: A^cf + A^df = bold A - Lambda^{-2} bold A
-    g4 = _zero_like(a0.value)
-    for i in (1, 2):
-        ai = A[i].value
-        dai = A[i].deriv(beta)
-        g4 = g4 + _br(ai - ai.lambda_pow(-2.0), dai.lambda_pow(-2.0)) + _br(
-            ai.lambda_pow(-2.0), dai
-        )
+    g4 = _sum([
+        _br(ai - ai.lambda_pow(-2.0), dai.lambda_pow(-2.0)) + _br(ai.lambda_pow(-2.0), dai)
+        for ai, dai in ((A[i].value, A[i].deriv(beta)) for i in (1, 2))
+    ])
     return g1, g2, g3, g4
 
 
@@ -354,6 +347,18 @@ def _cal_q(state_triple, v: SpacetimePair):
     return calligraphic_q(u0, u1, u2, v)
 
 
+def _smoother_bracket(us, target: SpacetimePair):
+    """-2[Lambda^{-2} u^alpha, d_alpha target] for plain fields us = (u_0, u_1, u_2)."""
+    return -2.0 * _raised_sum(
+        [_br(u.lambda_pow(-2.0), target.deriv(al)) for al, u in enumerate(us)]
+    )
+
+
+def _double_bracket(us, x):
+    """[u^alpha, [u_alpha, x]] for plain fields us = (u_0, u_1, u_2)."""
+    return _raised_sum([_br(u, _br(u, x)) for u in us])
+
+
 def assemble_rhs(state: FieldState) -> tuple:
     """(M0, M1, M2, N01, N02, N12): the reformulated right-hand sides.
 
@@ -364,107 +369,54 @@ def assemble_rhs(state: FieldState) -> tuple:
     read from state.F, not recomputed from A).
     """
     A = state.A
+    values = tuple(p.value for p in A)
     M = []
     for beta in range(3):
         ab = A[beta]
         m = -2.0 * _cal_q(A, ab)
         for g in gamma_terms(state, beta):
             m = m + g
-        m = m - 2.0 * _raised_sum(
-            [_br(A[al].value.lambda_pow(-2.0), ab.deriv(al)) for al in range(3)]
-        )
-        m = m - _raised_sum(
-            [_br(A[al].value, _br(A[al].value, ab.value)) for al in range(3)]
-        )
+        m = m + _smoother_bracket(values, ab)
+        m = m - _double_bracket(values, ab.value)
         M.append(m)
-
-    N = [_n_0i(state, 1), _n_0i(state, 2), _n_12(state)]
-    return M[0], M[1], M[2], N[0], N[1], N[2]
+    return (*M, _n(state, 0, 1), _n(state, 0, 2), _n(state, 1, 2))
 
 
-def _smoother_bracket(state: FieldState, pre, target: SpacetimePair):
-    """-2[Lambda^{-2} pre(A)^alpha, d_alpha target]."""
+def _f_sum(state: FieldState, beta: int, gamma: int):
+    """sum_alpha [F_{alpha beta}, [A^alpha, A_gamma]], leaving out the
+    alpha = beta term (F_{beta beta} = 0)."""
     A = state.A
-    return -2.0 * _raised_sum(
-        [
-            _br(pre(A[al].value).lambda_pow(-2.0), target.deriv(al))
-            for al in range(3)
-        ]
-    )
+    return _sum([
+        METRIC_SIGN[al] * _br(state.f(al, beta).value, _br(A[al].value, A[gamma].value))
+        for al in range(3) if al != beta
+    ])
 
 
-def _n_12(state: FieldState):
+def _n(state: FieldState, beta: int, gamma: int):
+    """N_{beta gamma}, beta < gamma: the terms of ymf2_rhs with each
+    [d A, d A] first-order product written as null forms plus smoother
+    brackets.  For beta = 0 the Lorenz gauge dt A_0 = d^j A_j turns
+    -2[d_0 A^alpha, d_alpha A_gamma] into -2 sum_j Q_{0j}[A_j, A_gamma]."""
     A = state.A
-    f12 = state.f(1, 2)
-    out = -2.0 * _cal_q(A, f12)
-    out = out + 2.0 * _cal_q(tuple(p.dx(2) for p in A), A[1])
-    out = out - 2.0 * _cal_q(tuple(p.dx(1) for p in A), A[2])
-    out = out + 2.0 * null_form("Q0", A[1], A[2])
-    out = out + _raised_sum(
-        [null_form("Q12", A[al], A[al]) for al in range(3)]
+    values = tuple(p.value for p in A)
+    f = state.f(beta, gamma)
+    ab, ag = A[beta], A[gamma]
+    dg = tuple(p.dx(gamma) for p in A)
+    out = -2.0 * _cal_q(A, f) + _smoother_bracket(values, f)
+    out = out + 2.0 * _cal_q(dg, ab) - _smoother_bracket([p.value for p in dg], ab)
+    if beta == 0:
+        for j in (1, 2):
+            out = out - 2.0 * null_form(f"Q0{j}", A[j], ag)
+    else:
+        db = tuple(p.dx(beta) for p in A)
+        out = out - 2.0 * _cal_q(db, ag) + _smoother_bracket([p.value for p in db], ag)
+    out = out + 2.0 * null_form("Q0", ab, ag)
+    out = out + _raised_sum([null_form(f"Q{beta}{gamma}", p, p) for p in A])
+    out = out - _double_bracket(values, f.value)
+    out = out + 2.0 * _f_sum(state, beta, gamma) - 2.0 * _f_sum(state, gamma, beta)
+    return out - 2.0 * _raised_sum(
+        [_br(_br(u, ab.value), _br(u, ag.value)) for u in values]
     )
-    out = out + _smoother_bracket(state, lambda x: x, f12)
-    out = out - _smoother_bracket(state, lambda x: x.dx(2), A[1])
-    out = out + _smoother_bracket(state, lambda x: x.dx(1), A[2])
-    out = out - _raised_sum(
-        [_br(A[al].value, _br(A[al].value, f12.value)) for al in range(3)]
-    )
-    out = out + 2.0 * _raised_sum(
-        [
-            _br(state.f(al, 1).value, _br(A[al].value, A[2].value))
-            for al in range(3)
-        ]
-    )
-    out = out - 2.0 * _raised_sum(
-        [
-            _br(state.f(al, 2).value, _br(A[al].value, A[1].value))
-            for al in range(3)
-        ]
-    )
-    out = out - 2.0 * _raised_sum(
-        [
-            _br(_br(A[al].value, A[1].value), _br(A[al].value, A[2].value))
-            for al in range(3)
-        ]
-    )
-    return out
-
-
-def _n_0i(state: FieldState, i: int):
-    A = state.A
-    f0i = state.f(0, i)
-    out = -2.0 * _cal_q(A, f0i)
-    out = out + 2.0 * _cal_q(tuple(p.dx(i) for p in A), A[0])
-    for j in (1, 2):
-        out = out - 2.0 * null_form(f"Q0{j}", A[j], A[i])
-    out = out + 2.0 * null_form("Q0", A[0], A[i])
-    out = out + _raised_sum(
-        [null_form(f"Q0{i}", A[al], A[al]) for al in range(3)]
-    )
-    out = out + _smoother_bracket(state, lambda x: x, f0i)
-    out = out - _smoother_bracket(state, lambda x: x.dx(i), A[0])
-    out = out - _raised_sum(
-        [_br(A[al].value, _br(A[al].value, f0i.value)) for al in range(3)]
-    )
-    out = out + 2.0 * _raised_sum(
-        [
-            _br(state.f(al, 0).value, _br(A[al].value, A[i].value))
-            for al in range(3)
-        ]
-    )
-    out = out - 2.0 * _raised_sum(
-        [
-            _br(state.f(al, i).value, _br(A[al].value, A[0].value))
-            for al in range(3)
-        ]
-    )
-    out = out - 2.0 * _raised_sum(
-        [
-            _br(_br(A[al].value, A[0].value), _br(A[al].value, A[i].value))
-            for al in range(3)
-        ]
-    )
-    return out
 
 
 # --- Gauss-law projection -------------------------------------------------
@@ -505,10 +457,7 @@ def project_gauss_data(
         last = gauss
         if gauss <= tol:
             return state
-        fi0 = [-1.0 * state.f(0, i).value for i in (1, 2)]
-        g = _zero_like(a0)
-        for i in (1, 2):
-            g = g + fi0[i - 1].dx(i) + _br(state.A[i].value, fi0[i - 1])
+        g, fi0 = _gauss_field(state)
         # gradient part
         chi = g.inv_laplacian()
         gbar = np.mean(g.values, axis=(1, 2))

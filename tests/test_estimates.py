@@ -158,12 +158,29 @@ def test_elliptic_i_endpoint_blowup():
 
 
 def test_elliptic_i_still_rising_near_endpoint():
-    # the values the README quotes: no plateau down to tau/|xi| = 1 + 1e-10,
+    # the values the README quotes: no plateau down to tau/|xi| = 1 + 1e-12,
     # with increments shrinking by about 0.8 per two decades
-    vals = [elliptic_i(1.0 + e, (1.0, 0.0), 1.1) for e in (1e-6, 1e-8, 1e-10)]
-    assert vals == pytest.approx([13.2, 15.3, 16.9], abs=0.05)
+    vals = [elliptic_i(1.0 + e, (1.0, 0.0), 1.1) for e in (1e-6, 1e-8, 1e-10, 1e-12)]
+    assert vals == pytest.approx([13.2, 15.3, 16.9, 18.1], abs=0.05)
     steps = np.diff(vals)
-    assert 0.7 < steps[1] / steps[0] < 0.85
+    ratios = steps[1:] / steps[:-1]
+    assert np.all((0.7 < ratios) & (ratios < 0.85))
+
+
+@pytest.mark.parametrize("tau, xi", [
+    (1.0 * (1 + 1e-13), (1.0, 0.0)),
+    (3.0 * (1 + 1e-12), (3.0, 0.0)),
+    (0.1 * (1 + 1e-11), (0.1, 0.0)),
+])
+def test_elliptic_i_finite_at_endpoint_layer(tau, xi):
+    # points where unsplit quadrature returned a negative integral
+    val = elliptic_i(tau, xi, 1.1)
+    assert np.isfinite(val) and val > 0.0
+
+
+def test_elliptic_i_scale_invariant_at_endpoint_layer():
+    one, three = (elliptic_i(n * (1 + 1e-12), (n, 0.0), 1.1) for n in (1.0, 3.0))
+    assert three == pytest.approx(one, rel=1e-6)
 
 
 def test_elliptic_i_sweep_reproducible():

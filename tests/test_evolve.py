@@ -3,6 +3,7 @@ import gc
 import numpy as np
 import pytest
 
+from ym2d import spectral
 from ym2d.algebra import su
 from ym2d.evolve import (
     EvolveConfig,
@@ -205,22 +206,35 @@ def test_every_stepper_runs_through_the_monitored_driver():
 
 
 # one assemble_rhs at su(2), N = 16 from values-only fields (the RK4 path):
-# 299 rfft2 (one per product, one per state field with a multiplier) and 179
-# irfft2 (one per distinct product factor)
-RHS_TRANSFORMS = 299 + 179
+# 287 rfft2 (one per product, one per state field with a multiplier) and 173
+# irfft2 (one per distinct product factor), and 274 dealiased products
+RHS_TRANSFORMS = {"rfft2": 287, "irfft2": 173}
+RHS_PRODUCTS = 274
+
+
+def _count_rhs_calls(monkeypatch, owner, names):
+    """Calls of owner.<name> made by one assemble_rhs (su(2), N = 16)."""
+    st = state_from_array(SPEC, TorusGrid(16), array_from_state(_state(seed=3, N=16)))
+    calls = dict.fromkeys(names, 0)
+    for name in names:
+        def counted(*args, _fn=getattr(owner, name), _name=name, **kwargs):
+            calls[_name] += 1
+            return _fn(*args, **kwargs)
+        monkeypatch.setattr(owner, name, counted)
+    assemble_rhs(st)
+    return calls
 
 
 def test_assemble_rhs_transform_count(monkeypatch):
-    grid = TorusGrid(16)
-    st = state_from_array(SPEC, grid, array_from_state(_state(seed=3, N=16)))
-    calls = []
-    for name in ("rfft2", "irfft2"):
-        def counted(*args, _fn=getattr(np.fft, name), **kwargs):
-            calls.append(_fn)
-            return _fn(*args, **kwargs)
-        monkeypatch.setattr(np.fft, name, counted)
-    assemble_rhs(st)
-    assert 0 < len(calls) <= RHS_TRANSFORMS
+    calls = _count_rhs_calls(monkeypatch, np.fft, RHS_TRANSFORMS)
+    for name, bound in RHS_TRANSFORMS.items():
+        assert 0 < calls[name] <= bound, name
+
+
+def test_assemble_rhs_product_count(monkeypatch):
+    # GridField.bracket looks the module-level function up at call time
+    calls = _count_rhs_calls(monkeypatch, spectral, ["dealiased_product"])
+    assert 0 < calls["dealiased_product"] <= RHS_PRODUCTS
 
 
 def test_rhs_makes_no_reference_cycles():

@@ -3,11 +3,10 @@ import io
 import numpy as np
 import pytest
 
-from ym2d.algebra import su
+from ym2d.algebra import bracket_coeffs, su
 from ym2d.spectral import (
     GridField,
     TorusGrid,
-    dealiased_product,
     dft_oracle,
     discrete_norm,
     read_snapshot,
@@ -44,7 +43,7 @@ def test_from_rhat_roundtrip():
 def test_parseval():
     f = _field(2)
     # r=2, s=0 of the discrete Fourier-Lebesgue norm is exactly the grid L^2
-    assert abs(discrete_norm(f, 0.0, 2.0) - f.l2_norm()) < 1e-12 * f.l2_norm()
+    assert abs(discrete_norm(f, 0.0, 2.0) - f.norm()) < 1e-12 * f.norm()
     # the column weights count every frequency of the full plane once
     full = np.fft.fft2(f.values) / f.grid.N**2
     rhat = f.rhat
@@ -100,20 +99,17 @@ def test_derivatives_exact_on_trig():
 
 def test_dealiased_product_exact_below_two_thirds():
     grid = TorusGrid(32)
-    x1, _ = grid.points
-    u = np.zeros((SPEC.dim, 32, 32))
-    v = np.zeros((SPEC.dim, 32, 32))
-    u[0] = np.cos(3.0 * x1)
-    v[0] = np.sin(4.0 * x1)
-    fu, fv = GridField(SPEC, grid, u), GridField(SPEC, grid, v)
-    w = dealiased_product(fu, fv, "scalar")
-    assert np.max(np.abs(w.values - u * v)) < 1e-13
+    x1, x2 = grid.points
+    # every frequency of the product stays below N/3
+    u = np.stack([np.cos(3.0 * x1 + a * x2) for a in range(SPEC.dim)])
+    v = np.stack([np.sin(4.0 * x1 - a * x2) for a in range(SPEC.dim)])
+    w = GridField(SPEC, grid, u).bracket(GridField(SPEC, grid, v))
+    assert np.max(np.abs(w.values - bracket_coeffs(SPEC, u, v))) < 1e-13
 
 
 def test_bracket_product_antisymmetric():
     f, g = _field(3), _field(4)
-    fg = dealiased_product(f, g, "bracket")
-    gf = dealiased_product(g, f, "bracket")
+    fg, gf = f.bracket(g), g.bracket(f)
     assert np.max(np.abs(fg.values + gf.values)) < 1e-12
 
 

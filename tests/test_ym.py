@@ -52,6 +52,7 @@ def test_curvature_antisymmetry_and_zero_diagonal():
             fg = st.f(g, b).value
             assert np.max(np.abs(fb.values + fg.values)) < 1e-14
     assert st.f(1, 1).value.sup_norm() == 0.0
+    assert st.f(1, 1).time_deriv.sup_norm() == 0.0
 
 
 def test_state_from_potential_is_curvature_compatible():
