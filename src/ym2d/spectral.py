@@ -8,19 +8,23 @@ mirror image.  Every symbol lattice, the dealiasing mask and the
 Fourier-Lebesgue norms use that layout.
 
 A GridField holds its values, its spectrum or both, and makes the missing one
-by one transform when it is first asked for.  Multipliers act on the
-spectrum alone, so a chain of them costs no transform.  Columns 0 and N/2 of
-the half-plane are their own mirror images; there every symbol is replaced
-by its part that maps real fields to real fields, (m(k) + conj m(-k))/2, so
-a multiplied spectrum is again the spectrum of a real field (odd symbols
-vanish at the Nyquist frequencies), exactly as if each multiplier were
-followed by an inverse and a forward real transform.
+by one transform when it is first asked for.  A third representation, raw,
+holds the untruncated point values of a product or of a sum of products; the
+field it stands for is the 2/3-rule truncation of raw, whose spectrum is made
+by one masked forward transform on first use and whose values are made from
+that spectrum.  Multipliers act on the spectrum alone, so a chain of them
+costs no transform.  Columns 0 and N/2 of the half-plane are their own
+mirror images; there every symbol is replaced by its part that maps real
+fields to real fields, (m(k) + conj m(-k))/2, so a multiplied spectrum is
+again the spectrum of a real field (odd symbols vanish at the Nyquist
+frequencies), exactly as if each multiplier were followed by an inverse and
+a forward real transform.
 
 A dealiased product uses each factor's 2/3-rule truncated values, made once
 per field by one inverse transform (the factor's memoized dealias()), and
-returns the truncated forward transform of the pointwise product as a
-spectrum-only field marked as truncated, whose own values then serve as its
-truncated values.  The
+returns the pointwise product as a raw field, with no transform.  The
+truncation and the transform are linear, so a sum of products stays raw and
+costs one masked forward transform when its spectrum is first needed.  The
 transform backend is numpy's FFT, looked up at call time; a direct O(N^4)
 discrete transform oracle is provided for cross-checking at small N.
 """
@@ -165,26 +169,34 @@ class GridField:
     """Algebra-valued grid function; immutable.
 
     A field stores its point values (real, (dim, N, N)), its mean-normalized
-    half-plane spectrum rhat (rfft2 / N^2, (dim, N, N/2 + 1)), or both.  The
-    missing one is made by one transform on first use and kept; values are
+    half-plane spectrum rhat (rfft2 / N^2, (dim, N, N/2 + 1)), or both; or it
+    is a raw field, given by untruncated point values raw (real, (dim, N, N))
+    and standing for their 2/3-rule truncation, rhat = mask * rfft2(raw) / N^2.
+    The missing representations are made on first use and kept (a raw
+    field's rhat by one masked transform, its values from rhat); values are
     read-only once made.  The finiteness check runs on what the field is
-    built from (its values if given, else its spectrum).
+    built from (raw if given, else its values if given, else its spectrum).
 
     Multipliers (dx, riesz, lambda_pow, ...) multiply rhat by a symbol
     lattice and return a spectrum-only field, memoized per field and symbol
     (the memo holds only results, so it makes no reference cycle).  +, - and
-    scalar * act on every representation both operands have, and on rhat
-    when they share none.  A truncated field's spectrum vanishes outside the
-    2/3-rule mask: dealiased products and multipliers of truncated fields are
-    truncated, so their values need no further truncation.
+    scalar * act on raw when both operands carry it; otherwise on every
+    other representation both operands have, and on rhat when they share
+    none.  A truncated field's spectrum vanishes outside the 2/3-rule mask:
+    raw fields (dealiased products and their sums) and multipliers of
+    truncated fields are truncated, so their values need no further
+    truncation.
     """
 
-    __slots__ = ("spec", "grid", "_values", "_rhat", "_truncated", "_mcache")
+    __slots__ = ("spec", "grid", "_values", "_rhat", "_raw", "_truncated", "_mcache")
 
     def __init__(self, spec: AlgebraSpec, grid: TorusGrid, values=None, rhat=None,
-                 truncated: bool = False):
+                 truncated: bool = False, raw=None):
         N = grid.N
-        if values is not None:
+        if raw is not None:
+            _check_lattice(raw, (spec.dim, N, N))
+            truncated = True
+        elif values is not None:
             # no copy: the caller's array becomes read-only too, so the
             # stored spectrum cannot go stale through an in-place write
             values = np.asarray(values, dtype=float)
@@ -193,11 +205,12 @@ class GridField:
         elif rhat is not None:
             _check_lattice(rhat, (spec.dim, N, N // 2 + 1))
         else:
-            raise ValueError("a grid field needs values or rhat")
+            raise ValueError("a grid field needs values, rhat or raw")
         self.spec = spec
         self.grid = grid
         self._values = values
         self._rhat = rhat
+        self._raw = raw
         self._truncated = truncated
         self._mcache = {}
 
@@ -217,7 +230,7 @@ class GridField:
         """Point values (dim, N, N), read-only."""
         if self._values is None:
             N = self.grid.N
-            vals = np.fft.irfft2(self._rhat, s=(N, N), axes=(-2, -1), norm="forward")
+            vals = np.fft.irfft2(self.rhat, s=(N, N), axes=(-2, -1), norm="forward")
             vals.flags.writeable = False
             self._values = vals
         return self._values
@@ -226,12 +239,18 @@ class GridField:
     def rhat(self):
         """Mean-normalized half-plane coefficients (rfft2 / N^2)."""
         if self._rhat is None:
-            self._rhat = np.fft.rfft2(self._values, axes=(-2, -1), norm="forward")
+            if self._raw is None:
+                self._rhat = np.fft.rfft2(self._values, axes=(-2, -1), norm="forward")
+            else:
+                self._rhat = (np.fft.rfft2(self._raw, axes=(-2, -1), norm="forward")
+                              * self.grid.dealias_mask)
         return self._rhat
 
     # --- linear structure -------------------------------------------------
     def _combine(self, other, op):
         self._check(other)
+        if self._raw is not None and other._raw is not None:
+            return GridField(self.spec, self.grid, raw=op(self._raw, other._raw))
         values = rhat = None
         if self._values is not None and other._values is not None:
             values = op(self._values, other._values)
@@ -249,6 +268,8 @@ class GridField:
         return self._combine(other, np.subtract)
 
     def __mul__(self, s):
+        if self._raw is not None:
+            return GridField(self.spec, self.grid, raw=self._raw * s)
         values = None if self._values is None else self._values * s
         rhat = None if self._rhat is None else self._rhat * s
         return GridField(self.spec, self.grid, values, rhat, self._truncated)
@@ -322,13 +343,11 @@ def _check_lattice(a: np.ndarray, shape: tuple):
 
 def dealiased_product(u: GridField, v: GridField) -> GridField:
     """Pointwise bracket [u, v] (structure constants) of the 2/3-rule
-    truncations of u and v, truncated again."""
+    truncations of u and v, as a raw field (truncated again on first use)."""
     u._check(v)
     # the truncated values of a factor are made once and kept in its memo
     w = bracket_coeffs(u.spec, u.dealias().values, v.dealias().values)
-    rhat = np.fft.rfft2(w, axes=(-2, -1), norm="forward")
-    rhat *= u.grid.dealias_mask
-    return GridField(u.spec, u.grid, rhat=rhat, truncated=True)
+    return GridField(u.spec, u.grid, raw=w)
 
 
 def discrete_norm(u: GridField, s: float, r: float) -> float:

@@ -321,13 +321,8 @@ def gamma_terms(state: FieldState, beta: int) -> tuple:
     def smooth(x, j):
         return x.dx(j).lambda_pow(-2.0)
 
-    g3 = _sum([
-        _br(smooth(f12.value, j), smooth(df12, j))
-        - _br(smooth(f12.value, j), smooth(daa, j))
-        - _br(smooth(aa, j), smooth(df12, j))
-        + _br(smooth(aa, j), smooth(daa, j))
-        for j in (1, 2)
-    ])
+    # [f12 - aa, df12 - daa] expands bilinearly into the four brackets
+    g3 = _sum([_br(smooth(f12.value - aa, j), smooth(df12 - daa, j)) for j in (1, 2)])
 
     # Gamma^4: A^cf + A^df = bold A - Lambda^{-2} bold A
     g4 = _sum([
@@ -355,8 +350,10 @@ def _smoother_bracket(us, target: SpacetimePair):
 
 
 def _double_bracket(us, x):
-    """[u^alpha, [u_alpha, x]] for plain fields us = (u_0, u_1, u_2)."""
-    return _raised_sum([_br(u, _br(u, x)) for u in us])
+    """[u^alpha, [u_alpha, x]] for plain fields us = (u_0, u_1, u_2),
+    leaving out u_alpha = x ([x, x] = 0)."""
+    return _sum([METRIC_SIGN[al] * _br(u, _br(u, x))
+                 for al, u in enumerate(us) if u is not x])
 
 
 def assemble_rhs(state: FieldState) -> tuple:
@@ -382,16 +379,6 @@ def assemble_rhs(state: FieldState) -> tuple:
     return (*M, _n(state, 0, 1), _n(state, 0, 2), _n(state, 1, 2))
 
 
-def _f_sum(state: FieldState, beta: int, gamma: int):
-    """sum_alpha [F_{alpha beta}, [A^alpha, A_gamma]], leaving out the
-    alpha = beta term (F_{beta beta} = 0)."""
-    A = state.A
-    return _sum([
-        METRIC_SIGN[al] * _br(state.f(al, beta).value, _br(A[al].value, A[gamma].value))
-        for al in range(3) if al != beta
-    ])
-
-
 def _n(state: FieldState, beta: int, gamma: int):
     """N_{beta gamma}, beta < gamma: the terms of ymf2_rhs with each
     [d A, d A] first-order product written as null forms plus smoother
@@ -413,10 +400,14 @@ def _n(state: FieldState, beta: int, gamma: int):
     out = out + 2.0 * null_form("Q0", ab, ag)
     out = out + _raised_sum([null_form(f"Q{beta}{gamma}", p, p) for p in A])
     out = out - _double_bracket(values, f.value)
-    out = out + 2.0 * _f_sum(state, beta, gamma) - 2.0 * _f_sum(state, gamma, beta)
-    return out - 2.0 * _raised_sum(
-        [_br(_br(u, ab.value), _br(u, ag.value)) for u in values]
-    )
+    # the sums over alpha of 2[F_{alpha beta}, [A^alpha, A_gamma]],
+    # -2[F_{alpha gamma}, [A^alpha, A_beta]] and
+    # -2[[A^alpha, A_beta], [A_alpha, A_gamma]] keep only the alpha distinct
+    # from beta and gamma: F_{beta beta} = 0 and [A_alpha, A_alpha] = 0
+    (al,) = {0, 1, 2} - {beta, gamma}
+    ub, ug = _br(values[al], ab.value), _br(values[al], ag.value)
+    return out + 2.0 * METRIC_SIGN[al] * (
+        _br(state.f(al, beta).value, ug) - _br(state.f(al, gamma).value, ub) - _br(ub, ug))
 
 
 # --- Gauss-law projection -------------------------------------------------

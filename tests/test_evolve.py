@@ -206,10 +206,11 @@ def test_every_stepper_runs_through_the_monitored_driver():
 
 
 # one assemble_rhs at su(2), N = 16 from values-only fields (the RK4 path):
-# 287 rfft2 (one per product, one per state field with a multiplier) and 173
-# irfft2 (one per distinct product factor), and 274 dealiased products
-RHS_TRANSFORMS = {"rfft2": 287, "irfft2": 173}
-RHS_PRODUCTS = 274
+# 38 rfft2 (one per sum of products whose spectrum is needed, one per state
+# field with a multiplier), 135 irfft2 (one per distinct product factor), and
+# 214 dealiased products
+RHS_TRANSFORMS = {"rfft2": 38, "irfft2": 135}
+RHS_PRODUCTS = 214
 
 
 def _count_rhs_calls(monkeypatch, owner, names):
@@ -235,6 +236,20 @@ def test_assemble_rhs_product_count(monkeypatch):
     # GridField.bracket looks the module-level function up at call time
     calls = _count_rhs_calls(monkeypatch, spectral, ["dealiased_product"])
     assert 0 < calls["dealiased_product"] <= RHS_PRODUCTS
+
+
+def test_assemble_rhs_brackets_no_field_with_itself(monkeypatch):
+    pairs = []
+    product = spectral.dealiased_product
+
+    def recorded(u, v):
+        pairs.append((u, v))
+        return product(u, v)
+
+    monkeypatch.setattr(spectral, "dealiased_product", recorded)
+    assemble_rhs(state_from_array(SPEC, TorusGrid(16),
+                                  array_from_state(_state(seed=3, N=16))))
+    assert pairs and not any(u is v for u, v in pairs)
 
 
 def test_rhs_makes_no_reference_cycles():

@@ -162,3 +162,28 @@ def test_fields_store_values_or_spectrum():
         GridField.from_rhat(SPEC, f.grid, f.rhat * np.nan)
     with pytest.raises(ValueError):
         GridField(SPEC, f.grid)
+
+
+def test_sums_of_products_transform_once(monkeypatch):
+    f, g, h = _field(7), _field(8), _field(9)
+    fg, gh = f.bracket(g), g.bracket(h)
+    calls = []
+    rfft2 = np.fft.rfft2
+
+    def counted(*args, **kwargs):
+        calls.append(args)
+        return rfft2(*args, **kwargs)
+
+    monkeypatch.setattr(np.fft, "rfft2", counted)
+    s = 2.0 * fg - gh + fg
+    assert s._rhat is None and s._values is None  # products and sums stay raw
+    w = 3.0 * bracket_coeffs(SPEC, f.dealias().values, g.dealias().values) - bracket_coeffs(
+        SPEC, g.dealias().values, h.dealias().values)
+    want = rfft2(w, axes=(-2, -1), norm="forward") * s.grid.dealias_mask
+    assert np.max(np.abs(s.rhat - want)) <= 1e-14 * np.max(np.abs(want))
+    assert s.dealias() is s
+    s.values  # made from the kept spectrum by an inverse transform
+    assert len(calls) == 1  # one masked transform for the whole sum
+    w[0, 0, 0] = np.inf
+    with pytest.raises(FloatingPointError):
+        GridField(SPEC, f.grid, raw=w)
