@@ -485,12 +485,21 @@ def _free_wave_pair(
 
 
 def _deriv_variants(p: SpacetimePair):
-    """The two first-derivative channels used for a generic 'partial u'."""
-    return (SpacetimePair(p.time_deriv, p.time_deriv), p.dx(1))
+    """The two first-derivative channels (d_t u, d_1 u) used for a generic
+    'partial u', as plain fields."""
+    return (p.time_deriv, p.value.dx(1))
 
 
-def _pair_product(x: SpacetimePair, y: SpacetimePair):
-    return x.value.bracket(y.value)
+def _free_wave_deriv_variants(p: SpacetimePair):
+    """The channels of _deriv_variants as SpacetimePairs, for a free wave u:
+    d_t (d_t u) = d_t^2 u = Laplace u."""
+    return (SpacetimePair(p.time_deriv, p.value.laplacian()), p.dx(1))
+
+
+def _bracket_pair(u: SpacetimePair, v: SpacetimePair) -> SpacetimePair:
+    """[u, v] with its time derivative [d_t u, v] + [u, d_t v]."""
+    return SpacetimePair(u.value.bracket(v.value),
+                         u.time_deriv.bracket(v.value) + u.value.bracket(v.time_deriv))
 
 
 def _expression_norms(estimate_id, grid, pairs, s, l, r):
@@ -512,7 +521,7 @@ def _expression_norms(estimate_id, grid, pairs, s, l, r):
         for q in qset:
             res.append(out(null_form(q, A1.lambda_pow(-1.0), A2), s - 1.0))
     elif estimate_id == 22:
-        for d in _deriv_variants(A2):
+        for d in _free_wave_deriv_variants(A2):
             res.append(
                 out(
                     null_form("Q12", A1.lambda_pow(-1.0), d.lambda_pow(-1.0)),
@@ -528,82 +537,53 @@ def _expression_norms(estimate_id, grid, pairs, s, l, r):
     elif estimate_id == 25:
         res.append(out(null_form("Q0", A1, A2), l - 1.0))
     elif estimate_id == 26:
-        for d in _deriv_variants(A2):
+        for d in _free_wave_deriv_variants(A2):
             res.append(out(gamma1(A1, d), s - 1.0))
     elif estimate_id == 27:
         for d in _deriv_variants(A2):
-            res.append(out(_pair_product(A1, d.lambda_pow(-2.0)), s - 1.0))
+            res.append(out(A1.value.bracket(d.lambda_pow(-2.0)), s - 1.0))
     elif estimate_id == 28:
         for d in _deriv_variants(A2):
-            res.append(out(_pair_product(A1.lambda_pow(-2.0), d), s - 1.0))
+            res.append(out(A1.value.lambda_pow(-2.0).bracket(d), s - 1.0))
     elif estimate_id == 29:
         for d in _deriv_variants(F2):
             res.append(
                 out(
-                    _pair_product(F1.lambda_pow(-1.0), d.lambda_pow(-1.0)),
+                    F1.value.lambda_pow(-1.0).bracket(d.lambda_pow(-1.0)),
                     s - 1.0,
                 )
             )
     elif estimate_id == 30:
         for d in _deriv_variants(F1):
-            res.append(out(_pair_product(A1.lambda_pow(-2.0), d), l - 1.0))
+            res.append(out(A1.value.lambda_pow(-2.0).bracket(d), l - 1.0))
     elif estimate_id == 31:
         for d in _deriv_variants(A2):
-            res.append(out(_pair_product(A1.lambda_pow(-1.0), d), l - 1.0))
+            res.append(out(A1.value.lambda_pow(-1.0).bracket(d), l - 1.0))
     elif estimate_id in (32, 33, 34):
-        aa = SpacetimePair(
-            _pair_product(A1, A2),
-            _pair_product(
-                SpacetimePair(A1.time_deriv, A1.time_deriv), A2
-            )
-            + _pair_product(A1, SpacetimePair(A2.time_deriv, A2.time_deriv)),
-        )
+        aa = _bracket_pair(A1, A2)
         if estimate_id == 32:
             for d in _deriv_variants(aa):
                 res.append(
-                    out(
-                        _pair_product(F1.lambda_pow(-1.0), d.lambda_pow(-1.0)),
-                        s - 1.0,
-                    )
+                    out(F1.value.lambda_pow(-1.0).bracket(d.lambda_pow(-1.0)), s - 1.0)
                 )
         elif estimate_id == 33:
             for d in _deriv_variants(F1):
                 res.append(
-                    out(
-                        _pair_product(d.lambda_pow(-1.0), aa.lambda_pow(-1.0)),
-                        s - 1.0,
-                    )
+                    out(d.lambda_pow(-1.0).bracket(aa.value.lambda_pow(-1.0)), s - 1.0)
                 )
         else:
-            bb = SpacetimePair(_pair_product(A3, A4), _pair_product(A3, A4))
-            for d in _deriv_variants(bb):
+            for d in _deriv_variants(_bracket_pair(A3, A4)):
                 res.append(
-                    out(
-                        _pair_product(aa.lambda_pow(-1.0), d.lambda_pow(-1.0)),
-                        s - 1.0,
-                    )
+                    out(aa.value.lambda_pow(-1.0).bracket(d.lambda_pow(-1.0)), s - 1.0)
                 )
     elif estimate_id == 35:
-        inner = _pair_product(A2, A3)
-        res.append(
-            out(_pair_product(A1, SpacetimePair(inner, inner)), s - 1.0)
-        )
+        res.append(out(A1.value.bracket(A2.value.bracket(A3.value)), s - 1.0))
     elif estimate_id == 36:
-        inner = _pair_product(A2, F1)
-        res.append(
-            out(_pair_product(A1, SpacetimePair(inner, inner)), l - 1.0)
-        )
+        res.append(out(A1.value.bracket(A2.value.bracket(F1.value)), l - 1.0))
     elif estimate_id == 37:
-        left = _pair_product(A1, A2)
-        right = _pair_product(A3, A4)
-        res.append(
-            out(
-                _pair_product(
-                    SpacetimePair(left, left), SpacetimePair(right, right)
-                ),
-                l - 1.0,
-            )
-        )
+        left = A1.value.bracket(A2.value)
+        right = A3.value.bracket(A4.value)
+        res.append(out(left.bracket(right), l - 1.0))
     else:
         raise ValueError(f"unknown estimate id {estimate_id}")
     return res

@@ -13,14 +13,11 @@ import numpy as np
 
 from .algebra import AlgebraSpec
 from .nullforms import SpacetimePair, calligraphic_q, null_form
-from .planewave import (
-    PlaneWaveField,
-    lorenz_compatible,
-    pw_product,
-    random_field,
-)
+from .planewave import lorenz_compatible, random_field
 from .ym import (
     FieldState,
+    _raised_sum,
+    _sum,
     assemble_rhs,
     curvature,
     data_from_potential,
@@ -47,12 +44,8 @@ def _phi(spec, seed, scale, modes):
 
 def _raised_bracket_sum(A, phi_pair, deriv_of_A=False):
     """[A^alpha, d_alpha phi] (or [d_t A^alpha, d_alpha phi])."""
-    out = None
-    for alpha, sign in ((0, -1.0), (1, 1.0), (2, 1.0)):
-        left = A[alpha].time_deriv if deriv_of_A else A[alpha].value
-        term = sign * pw_product(left, phi_pair.deriv(alpha), "bracket")
-        out = term if out is None else out + term
-    return out
+    left = [p.time_deriv if deriv_of_A else p.value for p in A]
+    return _raised_sum([u.bracket(phi_pair.deriv(al)) for al, u in enumerate(left)])
 
 
 def check_nullform_trick(spec, seed, scale=DEFAULT_SCALE, modes=DEFAULT_MODES):
@@ -60,7 +53,7 @@ def check_nullform_trick(spec, seed, scale=DEFAULT_SCALE, modes=DEFAULT_MODES):
     u = SpacetimePair.from_planewave(_phi(spec, seed, scale, modes))
     worst = 0.0
     for kind, (a, b) in (("Q01", (0, 1)), ("Q02", (0, 2)), ("Q12", (1, 2))):
-        lhs = pw_product(u.deriv(a), u.deriv(b), "bracket")
+        lhs = u.deriv(a).bracket(u.deriv(b))
         rhs = 0.5 * null_form(kind, u, u, commutator=True)
         worst = max(worst, (lhs - rhs).norm())
     return worst
@@ -104,11 +97,7 @@ def check_null2(spec, seed, scale=DEFAULT_SCALE, modes=DEFAULT_MODES):
     phi = SpacetimePair.from_planewave(_phi(spec, seed, scale, modes))
 
     def prod_sum(A):
-        out = None
-        for alpha, sign in ((0, -1.0), (1, 1.0), (2, 1.0)):
-            t = sign * pw_product(A[alpha].value, phi.deriv(alpha), "matrix")
-            out = t if out is None else out + t
-        return out
+        return _raised_sum([p.value @ phi.deriv(al) for al, p in enumerate(A)])
 
     lhs = prod_sum(st.A)
     w, r, smooth = _null23_pieces(st, phi)
@@ -133,11 +122,7 @@ def check_null3(spec, seed, scale=DEFAULT_SCALE, modes=DEFAULT_MODES):
     phi = SpacetimePair.from_planewave(_phi(spec, seed, scale, modes))
 
     def prod_sum(A):
-        out = None
-        for alpha, sign in ((0, -1.0), (1, 1.0), (2, 1.0)):
-            t = sign * pw_product(phi.deriv(alpha), A[alpha].value, "matrix")
-            out = t if out is None else out + t
-        return out
+        return _raised_sum([phi.deriv(al) @ p.value for al, p in enumerate(A)])
 
     lhs = prod_sum(st.A)
     w, r, smooth = _null23_pieces(st, phi)
@@ -151,17 +136,11 @@ def check_null3(spec, seed, scale=DEFAULT_SCALE, modes=DEFAULT_MODES):
 def check_gamma_decomposition(spec, seed, scale=DEFAULT_SCALE, modes=DEFAULT_MODES):
     """[A^a, d_b A_a] = sum_{i=1..4} Gamma^i_b for b = 0, 1, 2."""
     st = _lorenz_state(spec, seed, scale, modes)
+    a12 = st.A[1].value.bracket(st.A[2].value)
     worst = 0.0
     for beta in range(3):
-        lhs = None
-        for alpha, sign in ((0, -1.0), (1, 1.0), (2, 1.0)):
-            t = sign * pw_product(
-                st.A[alpha].value, st.A[alpha].deriv(beta), "bracket"
-            )
-            lhs = t if lhs is None else lhs + t
-        rhs = None
-        for g in gamma_terms(st, beta):
-            rhs = g if rhs is None else rhs + g
+        lhs = _raised_sum([p.value.bracket(p.deriv(beta)) for p in st.A])
+        rhs = _sum(gamma_terms(st, beta, a12))
         worst = max(worst, (lhs - rhs).norm())
     return worst
 

@@ -21,7 +21,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .nullforms import SpacetimePair, calligraphic_q, null_form
+from .nullforms import SpacetimePair, calligraphic_q, gamma1, null_form
 from .spectral import GridField
 
 METRIC_SIGN = (-1.0, 1.0, 1.0)  # eta^{alpha alpha}
@@ -272,30 +272,21 @@ def ymf2_rhs(state: FieldState) -> tuple:
 
 # --- Gamma table and assembled right-hand sides ---------------------------
 
-def _dt_of_derivative(state: FieldState, alpha: int, beta: int):
-    """d_t d_beta A_alpha; for beta = 0 the second time derivative of A_0 is
+def _dt_of_derivative(state: FieldState, beta: int):
+    """d_t d_beta A_0; for beta = 0 the second time derivative of A_0 is
     eliminated through the Lorenz gauge dt A_0 = d^i A_i."""
     if beta != 0:
-        return state.A[alpha].time_deriv.dx(beta)
-    if alpha == 0:
-        return state.A[1].time_deriv.dx(1) + state.A[2].time_deriv.dx(2)
-    raise ValueError("second time derivative of a spatial component requested")
+        return state.A[0].time_deriv.dx(beta)
+    return state.A[1].time_deriv.dx(1) + state.A[2].time_deriv.dx(2)
 
 
-def gamma_terms(state: FieldState, beta: int) -> tuple:
-    """The four Gamma^i_beta pieces decomposing [A^alpha, d_beta A_alpha]."""
+def gamma_terms(state: FieldState, beta: int, a12) -> tuple:
+    """The four Gamma^i_beta pieces decomposing [A^alpha, d_beta A_alpha];
+    a12 is the bracket [A_1, A_2] of the potential's values."""
     A = state.A
-    a0 = A[0]
-    dbA0 = a0.deriv(beta)
 
-    # Gamma^1: non-Q null form in A_0
-    g1 = -1.0 * _br(a0.value, dbA0)
-    dt_dbA0 = _dt_of_derivative(state, 0, beta)
-    for j in (1, 2):
-        g1 = g1 + _br(
-            a0.time_deriv.lambda_pow(-1.0).riesz(j),
-            dt_dbA0.lambda_pow(-1.0).riesz(j),
-        )
+    # Gamma^1: the non-Q form gamma1(A_0, d_beta A_0)
+    g1 = gamma1(A[0], SpacetimePair(A[0].deriv(beta), _dt_of_derivative(state, beta)))
 
     # Gamma^2: Q12 forms of the curl part.  The relative sign of the two
     # terms is fixed by the exact decomposition identity (verified by the
@@ -310,19 +301,18 @@ def gamma_terms(state: FieldState, beta: int) -> tuple:
 
     # Gamma^3: smooth bilinear pieces through F12 = G + [A1, A2]
     f12 = state.f(1, 2)
-    aa = _br(A[1].value, A[2].value)
     if beta == 0:
         df12 = f12.time_deriv
-        daa = _br(A[1].time_deriv, A[2].value) + _br(A[1].value, A[2].time_deriv)
+        da12 = _br(A[1].time_deriv, A[2].value) + _br(A[1].value, A[2].time_deriv)
     else:
         df12 = f12.value.dx(beta)
-        daa = aa.dx(beta)
+        da12 = a12.dx(beta)
 
     def smooth(x, j):
         return x.dx(j).lambda_pow(-2.0)
 
-    # [f12 - aa, df12 - daa] expands bilinearly into the four brackets
-    g3 = _sum([_br(smooth(f12.value - aa, j), smooth(df12 - daa, j)) for j in (1, 2)])
+    # [f12 - a12, df12 - da12] expands bilinearly into the four brackets
+    g3 = _sum([_br(smooth(f12.value - a12, j), smooth(df12 - da12, j)) for j in (1, 2)])
 
     # Gamma^4: A^cf + A^df = bold A - Lambda^{-2} bold A
     g4 = _sum([
@@ -349,11 +339,21 @@ def _smoother_bracket(us, target: SpacetimePair):
     )
 
 
-def _double_bracket(us, x):
-    """[u^alpha, [u_alpha, x]] for plain fields us = (u_0, u_1, u_2),
-    leaving out u_alpha = x ([x, x] = 0)."""
-    return _sum([METRIC_SIGN[al] * _br(u, _br(u, x))
-                 for al, u in enumerate(us) if u is not x])
+def _double_bracket(us, inner: dict):
+    """[u^alpha, [u_alpha, x]] for plain fields us = (u_0, u_1, u_2), given the
+    inner brackets [u_alpha, x] by alpha; an alpha left out of inner adds
+    nothing (u_alpha = x, and [x, x] = 0)."""
+    return _sum([METRIC_SIGN[al] * _br(us[al], b) for al, b in inner.items()])
+
+
+def _potential_brackets(values) -> dict:
+    """[A_alpha, A_beta] for alpha != beta: each pair bracketed once, the
+    swapped order by antisymmetry."""
+    out = {}
+    for al, be in ((0, 1), (0, 2), (1, 2)):
+        out[al, be] = _br(values[al], values[be])
+        out[be, al] = -1.0 * out[al, be]
+    return out
 
 
 def assemble_rhs(state: FieldState) -> tuple:
@@ -363,27 +363,31 @@ def assemble_rhs(state: FieldState) -> tuple:
              - 2[Lambda^{-2}A^alpha, d_alpha A_beta]
              - [A^alpha, [A_alpha, A_beta]],
     with the N_{beta gamma} as displayed in the reformulation (the F slots
-    read from state.F, not recomputed from A).
+    read from state.F, not recomputed from A).  The brackets [A_alpha, A_beta]
+    are made once and shared by every M and N.
     """
     A = state.A
     values = tuple(p.value for p in A)
+    aa = _potential_brackets(values)
     M = []
     for beta in range(3):
         ab = A[beta]
         m = -2.0 * _cal_q(A, ab)
-        for g in gamma_terms(state, beta):
+        for g in gamma_terms(state, beta, aa[1, 2]):
             m = m + g
         m = m + _smoother_bracket(values, ab)
-        m = m - _double_bracket(values, ab.value)
+        m = m - _double_bracket(
+            values, {al: aa[al, beta] for al in range(3) if al != beta})
         M.append(m)
-    return (*M, _n(state, 0, 1), _n(state, 0, 2), _n(state, 1, 2))
+    return (*M, _n(state, aa, 0, 1), _n(state, aa, 0, 2), _n(state, aa, 1, 2))
 
 
-def _n(state: FieldState, beta: int, gamma: int):
+def _n(state: FieldState, aa: dict, beta: int, gamma: int):
     """N_{beta gamma}, beta < gamma: the terms of ymf2_rhs with each
     [d A, d A] first-order product written as null forms plus smoother
-    brackets.  For beta = 0 the Lorenz gauge dt A_0 = d^j A_j turns
-    -2[d_0 A^alpha, d_alpha A_gamma] into -2 sum_j Q_{0j}[A_j, A_gamma]."""
+    brackets; aa holds the brackets [A_alpha, A_beta].  For beta = 0 the
+    Lorenz gauge dt A_0 = d^j A_j turns -2[d_0 A^alpha, d_alpha A_gamma]
+    into -2 sum_j Q_{0j}[A_j, A_gamma]."""
     A = state.A
     values = tuple(p.value for p in A)
     f = state.f(beta, gamma)
@@ -398,14 +402,18 @@ def _n(state: FieldState, beta: int, gamma: int):
         db = tuple(p.dx(beta) for p in A)
         out = out - 2.0 * _cal_q(db, ag) + _smoother_bracket([p.value for p in db], ag)
     out = out + 2.0 * null_form("Q0", ab, ag)
-    out = out + _raised_sum([null_form(f"Q{beta}{gamma}", p, p) for p in A])
-    out = out - _double_bracket(values, f.value)
+    # sum_alpha eta^{alpha alpha} Q_{beta gamma}[A_alpha, A_alpha], each a
+    # single bracket: Q_{bg}[u, u] = 2[d_b u, d_g u]
+    out = out + 2.0 * _raised_sum([_br(p.deriv(beta), p.deriv(gamma)) for p in A])
+    out = out - _double_bracket(
+        values, {al: _br(u, f.value) for al, u in enumerate(values)})
     # the sums over alpha of 2[F_{alpha beta}, [A^alpha, A_gamma]],
     # -2[F_{alpha gamma}, [A^alpha, A_beta]] and
     # -2[[A^alpha, A_beta], [A_alpha, A_gamma]] keep only the alpha distinct
-    # from beta and gamma: F_{beta beta} = 0 and [A_alpha, A_alpha] = 0
+    # from beta and gamma (F_{beta beta} = 0 and [A_alpha, A_alpha] = 0), and
+    # take [A_alpha, A_beta] and [A_alpha, A_gamma] from aa
     (al,) = {0, 1, 2} - {beta, gamma}
-    ub, ug = _br(values[al], ab.value), _br(values[al], ag.value)
+    ub, ug = aa[al, beta], aa[al, gamma]
     return out + 2.0 * METRIC_SIGN[al] * (
         _br(state.f(al, beta).value, ug) - _br(state.f(al, gamma).value, ub) - _br(ub, ug))
 

@@ -10,6 +10,8 @@ from ym2d.estimates import (
     GAMMA1_THRESHOLD,
     HLR_THRESHOLD,
     SampleConfig,
+    _expression_norms,
+    _free_wave_pair,
     check_angle_estimate,
     check_fk_symbol_bounds,
     check_gamma1_symbol,
@@ -22,6 +24,8 @@ from ym2d.estimates import (
     evaluate_point,
     run_symbol_suite,
 )
+from ym2d.nullforms import SpacetimePair, gamma1
+from ym2d.spectral import GridField, TorusGrid, weighted_hat_norm
 
 CFG = SampleConfig(count=20000, rng_seed=0)
 
@@ -209,3 +213,34 @@ def test_empirical_constant_deterministic():
     r1 = empirical_bilinear_constant(24, 16, cfg, trials=2)
     r2 = empirical_bilinear_constant(24, 16, cfg, trials=2)
     assert r1.sup_ratio == r2.sup_ratio and r1.growth == r2.growth
+
+
+def test_time_derivative_channels_are_true_time_derivatives():
+    # the d_t channel of estimate 26 must carry d_t^2 A_2, read here off the
+    # free flow d_t uhat = m uhat of the input itself, and that of estimate 34
+    # d_t[A_3, A_4] by the product rule
+    spec, grid, s, l, r = su(2), TorusGrid(16), 0.8, -0.2, 2.0
+    rng = np.random.default_rng(0)
+    pairs = {
+        "A": [_free_wave_pair(spec, grid, rng, s, r, 4.0) for _ in range(4)],
+        "F": [_free_wave_pair(spec, grid, rng, l, r, 4.0) for _ in range(2)],
+    }
+    A1, A2, A3, A4 = pairs["A"]
+
+    def out(field):
+        return weighted_hat_norm(grid, field.rhat, s - 1.0, r)
+
+    u, ut = A2.value.rhat, A2.time_deriv.rhat
+    m = np.divide(ut, u, out=np.zeros_like(u), where=np.abs(u) > 1e-14)
+    dtt = GridField.from_rhat(spec, grid, m * ut)
+    expect26 = [out(gamma1(A1, SpacetimePair(A2.time_deriv, dtt))),
+                out(gamma1(A1, A2.dx(1)))]
+    got26 = _expression_norms(26, grid, pairs, s, l, r)
+    assert got26 == pytest.approx(expect26, rel=1e-12)
+
+    aa = A1.value.bracket(A2.value).lambda_pow(-1.0)
+    bb = A3.value.bracket(A4.value)
+    bb_t = A3.time_deriv.bracket(A4.value) + A3.value.bracket(A4.time_deriv)
+    expect34 = [out(aa.bracket(d.lambda_pow(-1.0))) for d in (bb_t, bb.dx(1))]
+    got34 = _expression_norms(34, grid, pairs, s, l, r)
+    assert got34 == pytest.approx(expect34, rel=1e-12)

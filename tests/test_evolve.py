@@ -3,7 +3,7 @@ import gc
 import numpy as np
 import pytest
 
-from ym2d import spectral
+from ym2d import planewave, spectral
 from ym2d.algebra import su
 from ym2d.evolve import (
     EvolveConfig,
@@ -21,6 +21,7 @@ from ym2d.evolve import (
     temporal_order,
     to_half_wave,
 )
+from ym2d.identities import _lorenz_state
 from ym2d.spectral import TorusGrid, discrete_norm
 from ym2d.ym import assemble_rhs, project_gauss_data, state_from_potential
 
@@ -206,39 +207,36 @@ def test_every_stepper_runs_through_the_monitored_driver():
 
 
 # one assemble_rhs at su(2), N = 16 from values-only fields (the RK4 path):
-# 38 rfft2 (one per sum of products whose spectrum is needed, one per state
-# field with a multiplier), 135 irfft2 (one per distinct product factor), and
-# 214 dealiased products
-RHS_TRANSFORMS = {"rfft2": 38, "irfft2": 135}
-RHS_PRODUCTS = 214
+# 29 rfft2 (one per sum of products whose spectrum is needed, one per state
+# field with a multiplier), 129 irfft2 (one per distinct product factor), and
+# 193 dealiased products, of which 6 repeat an unordered factor pair already
+# bracketed: Gamma^4's [Lambda^{-2}A_i, d_beta A_i] at beta = i (2), and
+# [d_0 A_g, d_g A_g] in N_0g, made by Q_0g[A_g, A_g] and the self null forms (4)
+RHS_TRANSFORMS = {"rfft2": 29, "irfft2": 129}
+RHS_PRODUCTS = 193
+RHS_REPEATED_PRODUCTS = 6
 
 
-def _count_rhs_calls(monkeypatch, owner, names):
-    """Calls of owner.<name> made by one assemble_rhs (su(2), N = 16)."""
-    st = state_from_array(SPEC, TorusGrid(16), array_from_state(_state(seed=3, N=16)))
+def _rhs_state():
+    return state_from_array(SPEC, TorusGrid(16), array_from_state(_state(seed=3, N=16)))
+
+
+def _count_rhs_calls(monkeypatch, owner, names, state):
+    """Calls of owner.<name> made by one assemble_rhs(state)."""
     calls = dict.fromkeys(names, 0)
     for name in names:
         def counted(*args, _fn=getattr(owner, name), _name=name, **kwargs):
             calls[_name] += 1
             return _fn(*args, **kwargs)
         monkeypatch.setattr(owner, name, counted)
-    assemble_rhs(st)
+    assemble_rhs(state)
     return calls
 
 
-def test_assemble_rhs_transform_count(monkeypatch):
-    calls = _count_rhs_calls(monkeypatch, np.fft, RHS_TRANSFORMS)
-    for name, bound in RHS_TRANSFORMS.items():
-        assert 0 < calls[name] <= bound, name
-
-
-def test_assemble_rhs_product_count(monkeypatch):
-    # GridField.bracket looks the module-level function up at call time
-    calls = _count_rhs_calls(monkeypatch, spectral, ["dealiased_product"])
-    assert 0 < calls["dealiased_product"] <= RHS_PRODUCTS
-
-
-def test_assemble_rhs_brackets_no_field_with_itself(monkeypatch):
+def _rhs_products(monkeypatch):
+    """The factor pairs of the dealiased products of one assemble_rhs; the
+    list keeps the factors alive, so their ids stay distinct."""
+    state = _rhs_state()
     pairs = []
     product = spectral.dealiased_product
 
@@ -247,9 +245,40 @@ def test_assemble_rhs_brackets_no_field_with_itself(monkeypatch):
         return product(u, v)
 
     monkeypatch.setattr(spectral, "dealiased_product", recorded)
-    assemble_rhs(state_from_array(SPEC, TorusGrid(16),
-                                  array_from_state(_state(seed=3, N=16))))
+    assemble_rhs(state)
+    return pairs
+
+
+def test_assemble_rhs_transform_count(monkeypatch):
+    calls = _count_rhs_calls(monkeypatch, np.fft, RHS_TRANSFORMS, _rhs_state())
+    for name, bound in RHS_TRANSFORMS.items():
+        assert 0 < calls[name] <= bound, name
+
+
+def test_assemble_rhs_product_count(monkeypatch):
+    # GridField.bracket looks the module-level function up at call time
+    calls = _count_rhs_calls(monkeypatch, spectral, ["dealiased_product"], _rhs_state())
+    assert 0 < calls["dealiased_product"] <= RHS_PRODUCTS
+
+
+def test_assemble_rhs_brackets_no_field_with_itself(monkeypatch):
+    pairs = _rhs_products(monkeypatch)
     assert pairs and not any(u is v for u, v in pairs)
+
+
+def test_assemble_rhs_repeats_few_products(monkeypatch):
+    pairs = _rhs_products(monkeypatch)
+    distinct = {frozenset((id(u), id(v))) for u, v in pairs}
+    assert len(pairs) - len(distinct) <= RHS_REPEATED_PRODUCTS
+
+
+def test_plane_wave_and_grid_rhs_make_the_same_products(monkeypatch):
+    # both field types run the one assemble_rhs, so they bracket alike; the
+    # plane-wave state is built first, since building it brackets too
+    pw_state = _lorenz_state(SPEC, 0, 0.3, 4)
+    pw = _count_rhs_calls(monkeypatch, planewave, ["pw_product"], pw_state)
+    grid = _count_rhs_calls(monkeypatch, spectral, ["dealiased_product"], _rhs_state())
+    assert pw["pw_product"] == grid["dealiased_product"] > 0
 
 
 def test_rhs_makes_no_reference_cycles():
