@@ -5,11 +5,19 @@ A field is sum_k c_k exp(i(tau_k t + xi_k . x)) with matrix coefficients c_k
 fields).  Derivatives, Fourier multipliers and pointwise products are exact,
 which turns the algebraic identities of the reformulated system into
 machine-precision checks.
+
+A field is two arrays: freqs, its K distinct frequencies (tau, xi1, xi2)
+rounded to KEY_DECIMALS and sorted, and coeffs, the (K, n, n) coefficients.
+A product is one batched matmul over all mode pairs.  Equal frequencies are
+merged by sorting the keys and summing the coefficients of each key in input
+order, so the terms of a product add in the order of its mode pairs, as a
+loop over the pairs would add them; modes whose coefficients are all at most
+COEFF_TOL are dropped.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -18,63 +26,74 @@ from .algebra import AlgebraSpec, random_element
 COEFF_TOL = 1e-14
 KEY_DECIMALS = 9
 DEFAULT_MODE_CAP = 4096
+PAIR_BLOCK = 65_536  # mode pairs a product holds at once
 
 
-def _key(tau: float, xi: tuple[float, float]) -> tuple[float, float, float]:
-    return (
-        round(float(tau), KEY_DECIMALS),
-        round(float(xi[0]), KEY_DECIMALS),
-        round(float(xi[1]), KEY_DECIMALS),
-    )
-
-
-def _angle_bracket(xi1: float, xi2: float) -> float:
+def _angle_bracket(xi1, xi2):
     return np.sqrt(1.0 + xi1 * xi1 + xi2 * xi2)
 
 
-@dataclass(frozen=True)
+def _merged(freqs: np.ndarray, coeffs: np.ndarray):
+    """Round the frequencies (-0.0 to 0.0), sort them and sum the coefficients
+    of equal ones in input order; returns (freqs, coeffs)."""
+    keys = np.round(freqs, KEY_DECIMALS) + 0.0
+    order = np.lexsort(keys.T[::-1])
+    keys = keys[order]
+    new = np.ones(len(keys), dtype=bool)  # first of its key
+    new[1:] = np.any(keys[1:] != keys[:-1], axis=1)
+    slot = np.empty(len(keys), dtype=np.intp)
+    slot[order] = np.cumsum(new) - 1
+    out = np.zeros((int(new.sum()),) + coeffs.shape[1:], dtype=complex)
+    # one term at a time in input order (np.add.reduceat would add the tail
+    # of a run pairwise, which changes the last bits of runs of three or more)
+    np.add.at(out, slot, coeffs)
+    return keys[new], out
+
+
+def _field(n, freqs, coeffs, cap) -> "PlaneWaveField":
+    """The field of distinct sorted freqs, without the negligible modes."""
+    keep = np.abs(coeffs).max(axis=(1, 2)) > COEFF_TOL
+    return PlaneWaveField(n, freqs[keep], coeffs[keep], cap)
+
+
+@dataclass(frozen=True, eq=False)
 class PlaneWaveField:
-    """Canonicalized finite mode sum; immutable value semantics."""
+    """Canonical finite mode sum; immutable value semantics."""
 
     n: int  # matrix size of the coefficients
-    modes: dict = field(default_factory=dict)  # key -> (n, n) complex array
+    freqs: np.ndarray  # (K, 3) distinct rounded (tau, xi1, xi2), sorted
+    coeffs: np.ndarray  # (K, n, n) complex
     cap: int = DEFAULT_MODE_CAP
 
     @staticmethod
     def from_modes(n, mode_list, cap=DEFAULT_MODE_CAP):
         """Build from (tau, (xi1, xi2), coeff) triples, merging duplicates."""
-        acc = {}
-        for tau, xi, c in mode_list:
-            k = _key(tau, xi)
-            c = np.asarray(c, dtype=complex)
+        coeffs = [np.asarray(c, dtype=complex) for _, _, c in mode_list]
+        for c in coeffs:
             if c.shape != (n, n):
                 raise ValueError(f"coefficient shape {c.shape} != ({n},{n})")
-            acc[k] = acc.get(k, 0) + c
-        return PlaneWaveField(n, _canonicalize(acc), cap)
+        freqs = np.array([(tau, *xi) for tau, xi, _ in mode_list], dtype=float)
+        return _field(n, *_merged(freqs.reshape(-1, 3),
+                                  np.array(coeffs).reshape(-1, n, n)), cap)
 
     @property
     def mode_count(self) -> int:
-        return len(self.modes)
+        return len(self.freqs)
 
     def is_zero(self) -> bool:
-        return not self.modes
+        return self.mode_count == 0
 
     # --- linear structure -------------------------------------------------
     def __add__(self, other):
-        acc = {k: v.copy() for k, v in self.modes.items()}
-        for k, v in other.modes.items():
-            acc[k] = acc.get(k, 0) + v
-        return PlaneWaveField(self.n, _canonicalize(acc), self.cap)
+        return _field(self.n, *_merged(np.concatenate((self.freqs, other.freqs)),
+                                       np.concatenate((self.coeffs, other.coeffs))),
+                      self.cap)
 
     def __sub__(self, other):
         return self + (-1.0) * other
 
     def __mul__(self, s):
-        return PlaneWaveField(
-            self.n,
-            _canonicalize({k: s * v for k, v in self.modes.items()}),
-            self.cap,
-        )
+        return _field(self.n, self.freqs, s * self.coeffs, self.cap)
 
     __rmul__ = __mul__
 
@@ -94,96 +113,77 @@ class PlaneWaveField:
         """Max over modes of the Frobenius norm of the coefficient."""
         if self.is_zero():
             return 0.0
-        return max(float(np.linalg.norm(c)) for c in self.modes.values())
+        return float(np.max(np.linalg.norm(self.coeffs, axis=(1, 2))))
 
     # --- calculus ---------------------------------------------------------
     def dt(self):
-        return self._scale_modes(lambda tau, x1, x2: 1j * tau)
+        return self._scaled(1j * self.freqs[:, 0])
 
     def dx(self, i: int):
         if i not in (1, 2):
             raise ValueError("spatial index must be 1 or 2")
-        return self._scale_modes(lambda tau, x1, x2: 1j * (x1 if i == 1 else x2))
+        return self._scaled(1j * self.freqs[:, i])
 
     def lambda_pow(self, s: float):
         """Multiplier <xi>^s (spatial frequency only)."""
-        return self._scale_modes(lambda tau, x1, x2: _angle_bracket(x1, x2) ** s)
+        return self._scaled(_angle_bracket(self.freqs[:, 1], self.freqs[:, 2]) ** s)
 
     def d_pow(self, a: float):
         """Multiplier |xi|^a; for a < 0 the xi = 0 modes are annihilated."""
-
-        def sym(tau, x1, x2):
-            r = np.hypot(x1, x2)
-            if r == 0.0:
-                return 0.0 if a < 0 else (0.0 if a > 0 else 1.0)
-            return r**a
-
-        return self._scale_modes(sym)
+        r = np.hypot(self.freqs[:, 1], self.freqs[:, 2])
+        zero = r == 0.0
+        return self._scaled(np.where(zero, float(a == 0), np.where(zero, 1.0, r) ** a))
 
     def riesz(self, i: int):
         """Inhomogeneous Riesz transform, symbol i xi_i / <xi>."""
         if i not in (1, 2):
             raise ValueError("spatial index must be 1 or 2")
-        return self._scale_modes(
-            lambda tau, x1, x2: 1j * (x1 if i == 1 else x2) / _angle_bracket(x1, x2)
-        )
+        return self._scaled(
+            1j * self.freqs[:, i] / _angle_bracket(self.freqs[:, 1], self.freqs[:, 2]))
 
-    def _scale_modes(self, sym):
-        acc = {}
-        for (tau, x1, x2), c in self.modes.items():
-            acc[(tau, x1, x2)] = sym(tau, x1, x2) * c
-        return PlaneWaveField(self.n, _canonicalize(acc), self.cap)
+    def _scaled(self, symbol: np.ndarray):
+        """Multiply each mode's coefficient by its entry of symbol."""
+        return _field(self.n, self.freqs, symbol[:, None, None] * self.coeffs, self.cap)
 
     def rescale(self, lam: float):
         """u(t,x) -> u(lam t, lam x): every mode frequency scales by lam."""
-        acc = {}
-        for (tau, x1, x2), c in self.modes.items():
-            k = _key(lam * tau, (lam * x1, lam * x2))
-            acc[k] = acc.get(k, 0) + c
-        return PlaneWaveField(self.n, _canonicalize(acc), self.cap)
+        return _field(self.n, *_merged(lam * self.freqs, self.coeffs), self.cap)
 
     # --- pointwise evaluation (for grid sampling) -------------------------
     def sample(self, t: float, x1: np.ndarray, x2: np.ndarray) -> np.ndarray:
         """Evaluate on arrays of points; returns (..., n, n) complex."""
-        out = np.zeros(x1.shape + (self.n, self.n), dtype=complex)
-        for (tau, k1, k2), c in self.modes.items():
-            phase = np.exp(1j * (tau * t + k1 * x1 + k2 * x2))
-            out += phase[..., None, None] * c
-        return out
-
-
-def _canonicalize(acc: dict) -> dict:
-    out = {}
-    for k in sorted(acc):
-        c = np.asarray(acc[k], dtype=complex)
-        if np.max(np.abs(c)) > COEFF_TOL:
-            out[k] = c
-    return out
+        tau, k1, k2 = self.freqs.T
+        x1, x2 = np.asarray(x1)[..., None], np.asarray(x2)[..., None]
+        phase = np.exp(1j * (tau * t + k1 * x1 + k2 * x2))
+        return (phase @ self.coeffs.reshape(self.mode_count, -1)).reshape(
+            x1.shape[:-1] + (self.n, self.n))
 
 
 def pw_product(u: PlaneWaveField, v: PlaneWaveField, kind: str) -> PlaneWaveField:
     """Pointwise product of mode sums: 'matrix' (c1 c2) or 'bracket' ([c1, c2])."""
     if u.n != v.n:
         raise ValueError("matrix sizes differ")
-    if u.mode_count * v.mode_count > u.cap * u.cap:
-        raise ValueError(
-            f"mode-count product {u.mode_count * v.mode_count} exceeds cap^2 = {u.cap**2}"
-        )
-    acc = {}
-    for (t1, a1, a2), c1 in u.modes.items():
-        for (t2, b1, b2), c2 in v.modes.items():
-            k = _key(t1 + t2, (a1 + b1, a2 + b2))
-            if kind == "matrix":
-                c = c1 @ c2
-            elif kind == "bracket":
-                c = c1 @ c2 - c2 @ c1
-            else:
-                raise ValueError(f"unknown product kind {kind!r}")
-            acc[k] = acc.get(k, 0) + c
-    f = PlaneWaveField(u.n, _canonicalize(acc), u.cap)
-    if f.mode_count > u.cap:
-        raise ValueError(f"mode count {f.mode_count} exceeds cap {u.cap}")
-    return f
+    if kind not in ("matrix", "bracket"):
+        raise ValueError(f"unknown product kind {kind!r}")
+    pairs = u.mode_count * v.mode_count
+    if pairs > u.cap * u.cap:
+        raise ValueError(f"mode-count product {pairs} exceeds cap^2 = {u.cap**2}")
+    # the pairs of a block of u's modes with all of v's, merged into the sum
+    # of the blocks before it, which comes first, so terms add in pair order
+    rows = max(1, PAIR_BLOCK // max(1, v.mode_count))
+    freqs, coeffs = u.freqs[:0], u.coeffs[:0]
+    for s in range(0, u.mode_count, rows):
+        cu = u.coeffs[s:s + rows, None]
+        c = cu @ v.coeffs
+        if kind == "bracket":
+            c = c - v.coeffs @ cu
+        f = u.freqs[s:s + rows, None] + v.freqs
+        freqs, coeffs = _merged(np.concatenate((freqs, f.reshape(-1, 3))),
+                                np.concatenate((coeffs, c.reshape(-1, u.n, u.n))))
+    out = _field(u.n, freqs, coeffs, u.cap)
+    if out.mode_count > u.cap:
+        raise ValueError(f"mode count {out.mode_count} exceeds cap {u.cap}")
+    return out
 
 
 def random_field(

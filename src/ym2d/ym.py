@@ -340,19 +340,20 @@ def _smoother_bracket(us, target: SpacetimePair):
 
 
 def _double_bracket(us, inner: dict):
-    """[u^alpha, [u_alpha, x]] for plain fields us = (u_0, u_1, u_2), given the
-    inner brackets [u_alpha, x] by alpha; an alpha left out of inner adds
-    nothing (u_alpha = x, and [x, x] = 0)."""
-    return _sum([METRIC_SIGN[al] * _br(us[al], b) for al, b in inner.items()])
+    """[u^alpha, [u_alpha, x]] for plain fields us = (u_0, u_1, u_2), given
+    inner[alpha] = (sign, b) with [u_alpha, x] = sign * b; an alpha left out
+    of inner adds nothing (u_alpha = x, and [x, x] = 0)."""
+    return _sum([METRIC_SIGN[al] * s * _br(us[al], b) for al, (s, b) in inner.items()])
 
 
 def _potential_brackets(values) -> dict:
-    """[A_alpha, A_beta] for alpha != beta: each pair bracketed once, the
-    swapped order by antisymmetry."""
+    """[A_alpha, A_beta] for alpha != beta as (sign, bracket) pairs: each pair
+    bracketed once, the swapped order by its sign, which goes to the products
+    the bracket enters, so the bracket is transformed once as a factor."""
     out = {}
     for al, be in ((0, 1), (0, 2), (1, 2)):
-        out[al, be] = _br(values[al], values[be])
-        out[be, al] = -1.0 * out[al, be]
+        b = _br(values[al], values[be])
+        out[al, be], out[be, al] = (1.0, b), (-1.0, b)
     return out
 
 
@@ -373,7 +374,7 @@ def assemble_rhs(state: FieldState) -> tuple:
     for beta in range(3):
         ab = A[beta]
         m = -2.0 * _cal_q(A, ab)
-        for g in gamma_terms(state, beta, aa[1, 2]):
+        for g in gamma_terms(state, beta, aa[1, 2][1]):
             m = m + g
         m = m + _smoother_bracket(values, ab)
         m = m - _double_bracket(
@@ -385,9 +386,9 @@ def assemble_rhs(state: FieldState) -> tuple:
 def _n(state: FieldState, aa: dict, beta: int, gamma: int):
     """N_{beta gamma}, beta < gamma: the terms of ymf2_rhs with each
     [d A, d A] first-order product written as null forms plus smoother
-    brackets; aa holds the brackets [A_alpha, A_beta].  For beta = 0 the
-    Lorenz gauge dt A_0 = d^j A_j turns -2[d_0 A^alpha, d_alpha A_gamma]
-    into -2 sum_j Q_{0j}[A_j, A_gamma]."""
+    brackets; aa holds the brackets [A_alpha, A_beta] as (sign, bracket)
+    pairs.  For beta = 0 the Lorenz gauge dt A_0 = d^j A_j turns
+    -2[d_0 A^alpha, d_alpha A_gamma] into -2 sum_j Q_{0j}[A_j, A_gamma]."""
     A = state.A
     values = tuple(p.value for p in A)
     f = state.f(beta, gamma)
@@ -406,16 +407,17 @@ def _n(state: FieldState, aa: dict, beta: int, gamma: int):
     # single bracket: Q_{bg}[u, u] = 2[d_b u, d_g u]
     out = out + 2.0 * _raised_sum([_br(p.deriv(beta), p.deriv(gamma)) for p in A])
     out = out - _double_bracket(
-        values, {al: _br(u, f.value) for al, u in enumerate(values)})
+        values, {al: (1.0, _br(u, f.value)) for al, u in enumerate(values)})
     # the sums over alpha of 2[F_{alpha beta}, [A^alpha, A_gamma]],
     # -2[F_{alpha gamma}, [A^alpha, A_beta]] and
     # -2[[A^alpha, A_beta], [A_alpha, A_gamma]] keep only the alpha distinct
     # from beta and gamma (F_{beta beta} = 0 and [A_alpha, A_alpha] = 0), and
-    # take [A_alpha, A_beta] and [A_alpha, A_gamma] from aa
+    # take [A_alpha, A_beta] = sb * ub and [A_alpha, A_gamma] = sg * ug from aa
     (al,) = {0, 1, 2} - {beta, gamma}
-    ub, ug = aa[al, beta], aa[al, gamma]
+    (sb, ub), (sg, ug) = aa[al, beta], aa[al, gamma]
     return out + 2.0 * METRIC_SIGN[al] * (
-        _br(state.f(al, beta).value, ug) - _br(state.f(al, gamma).value, ub) - _br(ub, ug))
+        sg * _br(state.f(al, beta).value, ug) - sb * _br(state.f(al, gamma).value, ub)
+        - sb * sg * _br(ub, ug))
 
 
 # --- Gauss-law projection -------------------------------------------------

@@ -207,12 +207,14 @@ def test_every_stepper_runs_through_the_monitored_driver():
 
 
 # one assemble_rhs at su(2), N = 16 from values-only fields (the RK4 path):
-# 29 rfft2 (one per sum of products whose spectrum is needed, one per state
-# field with a multiplier), 129 irfft2 (one per distinct product factor), and
+# 26 rfft2 (one per sum of products whose spectrum is needed, one per state
+# field with a multiplier), 126 irfft2 (one per distinct product factor; a
+# swapped bracket [A_b, A_a] is the factor [A_a, A_b] with its sign carried
+# to the product, so it is not transformed again), and
 # 193 dealiased products, of which 6 repeat an unordered factor pair already
 # bracketed: Gamma^4's [Lambda^{-2}A_i, d_beta A_i] at beta = i (2), and
 # [d_0 A_g, d_g A_g] in N_0g, made by Q_0g[A_g, A_g] and the self null forms (4)
-RHS_TRANSFORMS = {"rfft2": 29, "irfft2": 129}
+RHS_TRANSFORMS = {"rfft2": 26, "irfft2": 126}
 RHS_PRODUCTS = 193
 RHS_REPEATED_PRODUCTS = 6
 

@@ -1,4 +1,6 @@
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from ym2d.algebra import so, su
 from ym2d.identities import IDENTITY_CHECKS, run_identity_suite
@@ -32,6 +34,21 @@ def test_identity_suite_small(spec):
 def test_each_identity_individually(name):
     resid = IDENTITY_CHECKS[name](su(2), 17)
     assert resid <= TOL
+
+
+@settings(derandomize=True, database=None, deadline=None, max_examples=60)
+@given(
+    spec=st.sampled_from([su(2), su(3), so(3), so(4)]),
+    seed=st.integers(0, 2**31 - 1),
+    modes=st.integers(1, 4),
+    scale=st.floats(0.05, 0.5),
+)
+def test_identities_hold_on_generated_inputs(spec, seed, modes, scale):
+    """Every identity on generated algebras, mode counts and scales; a
+    failure shrinks to the fewest modes that break it."""
+    for name, check in IDENTITY_CHECKS.items():
+        resid = check(spec, seed, scale, modes)
+        assert resid <= TOL, f"{name}: residual {resid:.3e}"
 
 
 def test_residuals_nontrivial_inputs():
