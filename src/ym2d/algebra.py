@@ -157,20 +157,16 @@ def bracket(x: LieElement, y: LieElement) -> LieElement:
 def bracket_coeffs(spec: AlgebraSpec, x: np.ndarray, y: np.ndarray) -> np.ndarray:
     """Bracket on raw coefficient arrays with leading basis axis.
 
-    x, y have shape (dim, ...); broadcasting over the trailing axes.
+    x, y have one shape (dim, ...).
     [x, y]_c = sum_b (sum_a f[a, b, c] x_a) y_b: one matmul with
     spec.structure_matrix, then a pointwise product with y summed over b.
     """
-    shape = np.broadcast_shapes(np.shape(x)[1:], np.shape(y)[1:])
+    shape = np.shape(x)
+    if np.shape(y) != shape:
+        raise ValueError(f"bracket operands differ in shape: {shape} and {np.shape(y)}")
     d = spec.dim
-
-    def flat(z):
-        # align the trailing axes on the right, as broadcasting does
-        z = np.reshape(z, (d,) + (1,) * (len(shape) + 1 - np.ndim(z)) + np.shape(z)[1:])
-        return np.broadcast_to(z, (d,) + shape).reshape(d, -1)
-
-    t = (spec.structure_matrix @ flat(x)).reshape(d, d, -1)
-    return np.einsum("bcp,bp->cp", t, flat(y)).reshape((d,) + shape)
+    t = (spec.structure_matrix @ np.reshape(x, (d, -1))).reshape(d, d, -1)
+    return np.einsum("bcp,bp->cp", t, np.reshape(y, (d, -1))).reshape(shape)
 
 
 def random_element(spec: AlgebraSpec, rng_seed: int, scale: float) -> LieElement:

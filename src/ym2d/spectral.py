@@ -9,24 +9,25 @@ Fourier-Lebesgue norms use that layout.
 
 A GridField holds its values, its spectrum or both, and makes the missing one
 by one transform when it is first asked for.  A third representation, raw,
-holds the untruncated point values of a product or of a sum of products; the
-field it stands for is the 2/3-rule truncation of raw, whose spectrum is made
-by one masked forward transform on first use and whose values are made from
-that spectrum.  Multipliers act on the spectrum alone, so a chain of them
-costs no transform.  Columns 0 and N/2 of the half-plane are their own
-mirror images; there every symbol is replaced by its part that maps real
-fields to real fields, (m(k) + conj m(-k))/2, so a multiplied spectrum is
-again the spectrum of a real field (odd symbols vanish at the Nyquist
-frequencies), exactly as if each multiplier were followed by an inverse and
-a forward real transform.
+holds the untruncated point values of a product or of a sum of products and
+stands for their 2/3-rule truncation (spectrum by one masked forward
+transform on first use, values from that spectrum).  Multipliers act on the
+spectrum alone, so a chain of them costs no transform.  Columns 0 and N/2 of
+the half-plane are their own mirror images; there every symbol is replaced
+by its part that maps real fields to real fields, (m(k) + conj m(-k))/2, so
+a multiplied spectrum is again the spectrum of a real field (odd symbols
+vanish at the Nyquist frequencies), exactly as if each multiplier were
+followed by an inverse and a forward real transform.
 
-A dealiased product uses each factor's 2/3-rule truncated values, made once
-per field by one inverse transform (the factor's memoized dealias()), and
-returns the pointwise product as a raw field, with no transform.  The
-truncation and the transform are linear, so a sum of products stays raw and
-costs one masked forward transform when its spectrum is first needed.  The
-transform backend is numpy's FFT, looked up at call time; a direct O(N^4)
-discrete transform oracle is provided for cross-checking at small N.
+A dealiased product brackets its factors' 2/3-rule truncated values (made
+once per field by one inverse transform, the factor's memoized dealias())
+into a raw field, with no transform; a sum of products stays raw, since
+truncation and transform are linear.  Finiteness is checked once, where data
+enters: by the GridField constructor (so by from_rhat and read_snapshot) and
+on each raw product.  Fields derived from checked ones are not checked
+again; every stored array is read-only, so a checked field cannot change.
+Transforms are numpy's FFT, looked up at call time; dft_oracle is a direct
+O(N^4) transform for cross-checking at small N.
 """
 
 from __future__ import annotations
@@ -161,6 +162,7 @@ class TorusGrid:
         m = np.array(m)
         edges = m[:, [0, -1]]
         m[:, [0, -1]] = 0.5 * (edges + np.conj(edges[-np.arange(self.N)]))
+        m.flags.writeable = False  # multiplier outputs are not checked again
         self._cache[key] = m
         return m
 
@@ -172,20 +174,19 @@ class GridField:
     half-plane spectrum rhat (rfft2 / N^2, (dim, N, N/2 + 1)), or both; or it
     is a raw field, given by untruncated point values raw (real, (dim, N, N))
     and standing for their 2/3-rule truncation, rhat = mask * rfft2(raw) / N^2.
-    The missing representations are made on first use and kept (a raw
-    field's rhat by one masked transform, its values from rhat); values are
-    read-only once made.  The finiteness check runs on what the field is
-    built from (raw if given, else its values if given, else its spectrum).
+    The missing representations are made on first use and kept.  Stored
+    arrays are read-only, a caller's too (it is not copied).  The constructor
+    checks that what it is given is finite; derived fields (multiplier
+    outputs, +, - and scalar *) are built by _derived, without one.
 
     Multipliers (dx, riesz, lambda_pow, ...) multiply rhat by a symbol
     lattice and return a spectrum-only field, memoized per field and symbol
     (the memo holds only results, so it makes no reference cycle).  +, - and
     scalar * act on raw when both operands carry it; otherwise on every
     other representation both operands have, and on rhat when they share
-    none.  A truncated field's spectrum vanishes outside the 2/3-rule mask:
-    raw fields (dealiased products and their sums) and multipliers of
-    truncated fields are truncated, so their values need no further
-    truncation.
+    none.  Raw fields and multipliers of truncated fields are truncated (their
+    spectrum vanishes outside the 2/3-rule mask), so their values need no
+    further truncation.
     """
 
     __slots__ = ("spec", "grid", "_values", "_rhat", "_raw", "_truncated", "_mcache")
@@ -195,24 +196,30 @@ class GridField:
         N = grid.N
         if raw is not None:
             _check_lattice(raw, (spec.dim, N, N))
-            truncated = True
         elif values is not None:
-            # no copy: the caller's array becomes read-only too, so the
-            # stored spectrum cannot go stale through an in-place write
             values = np.asarray(values, dtype=float)
             _check_lattice(values, (spec.dim, N, N))
-            values.flags.writeable = False
         elif rhat is not None:
             _check_lattice(rhat, (spec.dim, N, N // 2 + 1))
         else:
             raise ValueError("a grid field needs values, rhat or raw")
-        self.spec = spec
-        self.grid = grid
-        self._values = values
-        self._rhat = rhat
-        self._raw = raw
-        self._truncated = truncated
-        self._mcache = {}
+        self._store(spec, grid, values, rhat, raw, truncated)
+
+    def _derived(self, values=None, rhat=None, truncated=False, raw=None):
+        """A field computed from checked fields: stored without a finiteness check."""
+        out = GridField.__new__(GridField)
+        return out._store(self.spec, self.grid, values, rhat, raw, truncated)
+
+    def _store(self, spec, grid, values, rhat, raw, truncated):
+        # no copy: the caller's arrays become read-only too, so a field cannot
+        # change after its check and its representations cannot disagree
+        for a in (values, rhat, raw):
+            if a is not None:
+                a.flags.writeable = False
+        self.spec, self.grid, self._mcache = spec, grid, {}
+        self._values, self._rhat, self._raw = values, rhat, raw
+        self._truncated = truncated or raw is not None
+        return self
 
     @staticmethod
     def zero(spec, grid):
@@ -237,20 +244,22 @@ class GridField:
 
     @property
     def rhat(self):
-        """Mean-normalized half-plane coefficients (rfft2 / N^2)."""
+        """Mean-normalized half-plane coefficients (rfft2 / N^2), read-only."""
         if self._rhat is None:
             if self._raw is None:
-                self._rhat = np.fft.rfft2(self._values, axes=(-2, -1), norm="forward")
+                rhat = np.fft.rfft2(self._values, axes=(-2, -1), norm="forward")
             else:
-                self._rhat = (np.fft.rfft2(self._raw, axes=(-2, -1), norm="forward")
-                              * self.grid.dealias_mask)
+                rhat = np.fft.rfft2(self._raw, axes=(-2, -1), norm="forward")
+                rhat *= self.grid.dealias_mask
+            rhat.flags.writeable = False
+            self._rhat = rhat
         return self._rhat
 
     # --- linear structure -------------------------------------------------
     def _combine(self, other, op):
         self._check(other)
         if self._raw is not None and other._raw is not None:
-            return GridField(self.spec, self.grid, raw=op(self._raw, other._raw))
+            return self._derived(raw=op(self._raw, other._raw))
         values = rhat = None
         if self._values is not None and other._values is not None:
             values = op(self._values, other._values)
@@ -258,8 +267,7 @@ class GridField:
             rhat = op(self._rhat, other._rhat)
         if values is None and rhat is None:
             rhat = op(self.rhat, other.rhat)
-        return GridField(self.spec, self.grid, values, rhat,
-                         self._truncated and other._truncated)
+        return self._derived(values, rhat, self._truncated and other._truncated)
 
     def __add__(self, other):
         return self._combine(other, np.add)
@@ -269,10 +277,10 @@ class GridField:
 
     def __mul__(self, s):
         if self._raw is not None:
-            return GridField(self.spec, self.grid, raw=self._raw * s)
+            return self._derived(raw=self._raw * s)
         values = None if self._values is None else self._values * s
         rhat = None if self._rhat is None else self._rhat * s
-        return GridField(self.spec, self.grid, values, rhat, self._truncated)
+        return self._derived(values, rhat, self._truncated)
 
     __rmul__ = __mul__
 
@@ -293,8 +301,7 @@ class GridField:
         key = id(m)
         out = self._mcache.get(key)
         if out is None:
-            out = GridField(self.spec, self.grid, rhat=self.rhat * m,
-                            truncated=truncates or self._truncated)
+            out = self._derived(rhat=self.rhat * m, truncated=truncates or self._truncated)
             self._mcache[key] = out
         return out
 
@@ -421,9 +428,6 @@ def read_snapshot(fh: io.BufferedIOBase, spec: AlgebraSpec) -> list[GridField]:
         raise ValueError("algebra dimension mismatch")
     (L,) = struct.unpack("<d", fh.read(8))
     grid = TorusGrid(N, L)
-    out = []
-    for _ in range(count):
-        raw = np.frombuffer(fh.read(8 * dim * N * N), dtype="<f8")
-        vals = raw.reshape(dim, N, N).transpose(0, 2, 1)
-        out.append(GridField(spec, grid, vals.copy()))
-    return out
+    data = np.frombuffer(fh.read(8 * count * dim * N * N), dtype="<f8")
+    comps = data.reshape(count, dim, N, N).transpose(0, 1, 3, 2)
+    return [GridField(spec, grid, c.copy()) for c in comps]

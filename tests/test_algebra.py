@@ -71,17 +71,24 @@ def test_bracket_coeffs_agrees_with_bracket():
 
 
 @pytest.mark.parametrize("spec", SPECS, ids=str)
-@pytest.mark.parametrize("x_tail,y_tail", [
-    ((), ()), ((16, 16), (16, 16)), ((16, 9), ()), ((), (5, 7)), ((4, 1), (1, 6)),
-])
-def test_bracket_coeffs_matches_einsum_reference(spec, x_tail, y_tail):
+@pytest.mark.parametrize("tail", [(), (16, 16), (5, 7), (4, 1, 6)])
+def test_bracket_coeffs_matches_einsum_reference(spec, tail):
     rng = np.random.default_rng(spec.dim)
-    x = rng.standard_normal((spec.dim,) + x_tail)
-    y = rng.standard_normal((spec.dim,) + y_tail)
+    x = rng.standard_normal((spec.dim,) + tail)
+    y = rng.standard_normal((spec.dim,) + tail)
     ref = np.einsum("abc,a...,b...->c...", spec.structure, x, y)
     got = bracket_coeffs(spec, x, y)
     assert got.shape == ref.shape
     assert np.max(np.abs(got - ref)) <= 1e-14 * np.max(np.abs(ref))
+
+
+def test_bracket_coeffs_rejects_mismatched_shapes():
+    # operands of one shape only: the grid products always pass two (dim, N, N)
+    spec = su(2)
+    x = np.ones((spec.dim, 16, 16))
+    for y in (np.ones((spec.dim, 16, 9)), np.ones((spec.dim,)), np.ones((spec.dim, 1, 16))):
+        with pytest.raises(ValueError):
+            bracket_coeffs(spec, x, y)
 
 
 @pytest.mark.parametrize("spec", SPECS, ids=str)

@@ -132,6 +132,13 @@ def test_rk4_nan_guard():
             s = step_second_order(s, 0.5)
 
 
+def test_half_wave_nan_guard():
+    hw = to_half_wave(_state(seed=6, scale=10.0, N=16))
+    with pytest.raises(FloatingPointError):
+        for _ in range(200):
+            hw = step_half_wave(SPEC, TorusGrid(16), hw, 0.5)
+
+
 def test_picard_contracts():
     st = _state(seed=7, project=True)
     diffs, ratios = picard_iterate(st, 3, 0.1, 5e-3)
@@ -210,13 +217,17 @@ def test_every_stepper_runs_through_the_monitored_driver():
 # 26 rfft2 (one per sum of products whose spectrum is needed, one per state
 # field with a multiplier), 126 irfft2 (one per distinct product factor; a
 # swapped bracket [A_b, A_a] is the factor [A_a, A_b] with its sign carried
-# to the product, so it is not transformed again), and
+# to the product, so it is not transformed again),
 # 193 dealiased products, of which 6 repeat an unordered factor pair already
 # bracketed: Gamma^4's [Lambda^{-2}A_i, d_beta A_i] at beta = i (2), and
-# [d_0 A_g, d_g A_g] in N_0g, made by Q_0g[A_g, A_g] and the self null forms (4)
+# [d_0 A_g, d_g A_g] in N_0g, made by Q_0g[A_g, A_g] and the self null forms (4),
+# and 193 finiteness checks, one per raw product: multiplier outputs, sums and
+# scalar multiples of checked fields are not checked again (one check per
+# field built made 827)
 RHS_TRANSFORMS = {"rfft2": 26, "irfft2": 126}
 RHS_PRODUCTS = 193
 RHS_REPEATED_PRODUCTS = 6
+RHS_FINITENESS_CHECKS = 193
 
 
 def _rhs_state():
@@ -261,6 +272,11 @@ def test_assemble_rhs_product_count(monkeypatch):
     # GridField.bracket looks the module-level function up at call time
     calls = _count_rhs_calls(monkeypatch, spectral, ["dealiased_product"], _rhs_state())
     assert 0 < calls["dealiased_product"] <= RHS_PRODUCTS
+
+
+def test_assemble_rhs_finiteness_check_count(monkeypatch):
+    calls = _count_rhs_calls(monkeypatch, spectral, ["_check_lattice"], _rhs_state())
+    assert 0 < calls["_check_lattice"] <= RHS_FINITENESS_CHECKS
 
 
 def test_assemble_rhs_brackets_no_field_with_itself(monkeypatch):

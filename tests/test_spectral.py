@@ -150,6 +150,22 @@ def test_odd_multiplier_chain_matches_eager_transforms(chain):
     assert np.max(np.abs(lazy.values - vals)) <= 1e-13 * np.max(np.abs(vals))
 
 
+def test_spectra_read_only():
+    # finiteness is checked once, so a field must not change after its check
+    f = _field(10)
+    for g in (f, f.dx(1)):
+        with pytest.raises(ValueError):
+            g.rhat[0, 0, 0] = np.nan
+    rhat = np.array(f.rhat)
+    GridField.from_rhat(SPEC, f.grid, rhat)
+    with pytest.raises(ValueError):
+        rhat[0, 0, 0] = np.nan  # no copy: the caller's array is frozen too
+    with pytest.raises(ValueError):
+        f.bracket(_field(11))._raw[0, 0, 0] = np.nan
+    with pytest.raises(ValueError):
+        f.grid.multiplier_array("derivative", 1)[0, 1] = np.nan
+
+
 def test_fields_store_values_or_spectrum():
     f = _field(6)
     g = f.dx(1)
