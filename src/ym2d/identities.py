@@ -12,10 +12,11 @@ from __future__ import annotations
 import numpy as np
 
 from .algebra import AlgebraSpec
-from .nullforms import SpacetimePair, calligraphic_q, null_form
+from .nullforms import SpacetimePair, null_form
 from .planewave import lorenz_compatible, random_field
 from .ym import (
     FieldState,
+    _k_factors,
     _raised_sum,
     _sum,
     assemble_rhs,
@@ -61,13 +62,12 @@ def check_nullform_trick(spec, seed, scale=DEFAULT_SCALE, modes=DEFAULT_MODES):
 
 def check_null0(spec, seed, scale=DEFAULT_SCALE, modes=DEFAULT_MODES):
     """[A^a, d_a phi] = calligraphic_q(Lambda^{-1}A, phi)
-    + [Lambda^{-2}A^a, d_a phi] in Lorenz gauge."""
+    + [Lambda^{-2}A^a, d_a phi] in Lorenz gauge, as sum_a [K_a(A), d_a phi]
+    on the factors K_a(A) that assemble_rhs brackets."""
     st = _lorenz_state(spec, seed, scale, modes)
     phi = SpacetimePair.from_planewave(_phi(spec, seed, scale, modes))
     lhs = _raised_bracket_sum(st.A, phi)
-    u = tuple(p.lambda_pow(-1.0) for p in st.A)
-    smooth_A = tuple(p.lambda_pow(-2.0) for p in st.A)
-    rhs = calligraphic_q(*u, phi) + _raised_bracket_sum(smooth_A, phi)
+    rhs = _sum([k.bracket(phi.deriv(al)) for al, k in enumerate(_k_factors(st.A))])
     return (lhs - rhs).norm()
 
 

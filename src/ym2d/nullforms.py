@@ -104,22 +104,31 @@ def null_form(kind: str, u: SpacetimePair, v: SpacetimePair, commutator: bool = 
     return _q_alpha_beta(u, v, a, b, commutator)
 
 
+def calligraphic_q_factors(u0: SpacetimePair, u1: SpacetimePair, u2: SpacetimePair):
+    """(L0, L1, L2) with calligraphic_q(u0, u1, u2, v) = sum_alpha L_alpha d_alpha v
+    by bilinearity alone: with w = R1 u2 - R2 u1 and r_i = R_i u0,
+    L0 = d_1 r_1 + d_2 r_2, L1 = d_2 w - d_t r_1, L2 = -d_1 w - d_t r_2."""
+    w = u2.value.riesz(1) - u1.value.riesz(2)
+    r1, r2 = u0.riesz(1), u0.riesz(2)
+    return (r1.deriv(1) + r2.deriv(2), w.dx(2) - r1.deriv(0),
+            -1.0 * w.dx(1) - r2.deriv(0))
+
+
 def calligraphic_q(u0: SpacetimePair, u1: SpacetimePair, u2: SpacetimePair,
                    v: SpacetimePair, commutator: bool = True):
     """Combined null form of the gauge-part decomposition.
 
-    -Q12[R1 u2 - R2 u1, v] - sum_i Q_{0i}[R_i u0, v], with R_i the
-    inhomogeneous Riesz transforms Lambda^{-1} d_i.  The sign of the Q12
-    term is fixed by requiring the exact Lorenz-gauge product identity
+    -Q12[R1 u2 - R2 u1, v] - sum_i Q_{0i}[R_i u0, v], with R_i = Lambda^{-1} d_i,
+    made as the three products of calligraphic_q_factors (left-linear, so
+    uncommuted too).  The sign of the Q12 term is fixed by requiring the
+    exact Lorenz-gauge product identity
     [A^alpha, d_alpha phi] = calligraphic_q(Lambda^{-1}A, phi)
                               + [Lambda^{-2} A^alpha, d_alpha phi],
     which the identity suite verifies to machine precision.
     """
-    w = u2.riesz(1) - u1.riesz(2)
-    out = -1.0 * null_form("Q12", w, v, commutator)
-    for i in (1, 2):
-        out = out - null_form(f"Q0{i}", u0.riesz(i), v, commutator)
-    return out
+    l0, l1, l2 = calligraphic_q_factors(u0, u1, u2)
+    return (_product(l0, v.deriv(0), commutator) + _product(l1, v.deriv(1), commutator)
+            + _product(l2, v.deriv(2), commutator))
 
 
 def gamma1(u: SpacetimePair, v: SpacetimePair, commutator: bool = True):

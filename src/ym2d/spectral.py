@@ -175,9 +175,10 @@ class GridField:
     is a raw field, given by untruncated point values raw (real, (dim, N, N))
     and standing for their 2/3-rule truncation, rhat = mask * rfft2(raw) / N^2.
     The missing representations are made on first use and kept.  Stored
-    arrays are read-only, a caller's too (it is not copied).  The constructor
-    checks that what it is given is finite; derived fields (multiplier
-    outputs, +, - and scalar *) are built by _derived, without one.
+    arrays are read-only, a caller's too (a view is copied, its base would
+    stay writable).  The constructor checks that what it is given is finite;
+    derived fields (multiplier outputs, +, - and scalar *) are built by
+    _derived, without one.
 
     Multipliers (dx, riesz, lambda_pow, ...) multiply rhat by a symbol
     lattice and return a spectrum-only field, memoized per field and symbol
@@ -194,10 +195,13 @@ class GridField:
     def __init__(self, spec: AlgebraSpec, grid: TorusGrid, values=None, rhat=None,
                  truncated: bool = False, raw=None):
         N = grid.N
+        if values is not None:
+            values = np.asarray(values, dtype=float)
+        values, rhat, raw = (a if a is None or a.flags.owndata else a.copy()
+                             for a in (values, rhat, raw))
         if raw is not None:
             _check_lattice(raw, (spec.dim, N, N))
         elif values is not None:
-            values = np.asarray(values, dtype=float)
             _check_lattice(values, (spec.dim, N, N))
         elif rhat is not None:
             _check_lattice(rhat, (spec.dim, N, N // 2 + 1))
@@ -211,8 +215,8 @@ class GridField:
         return out._store(self.spec, self.grid, values, rhat, raw, truncated)
 
     def _store(self, spec, grid, values, rhat, raw, truncated):
-        # no copy: the caller's arrays become read-only too, so a field cannot
-        # change after its check and its representations cannot disagree
+        # each array is the field's own (a caller's view is copied) and becomes
+        # read-only: a field cannot change after its check, nor its forms disagree
         for a in (values, rhat, raw):
             if a is not None:
                 a.flags.writeable = False
@@ -354,7 +358,9 @@ def dealiased_product(u: GridField, v: GridField) -> GridField:
     u._check(v)
     # the truncated values of a factor are made once and kept in its memo
     w = bracket_coeffs(u.spec, u.dealias().values, v.dealias().values)
-    return GridField(u.spec, u.grid, raw=w)
+    # w is a fresh array (a reshaped view nobody else holds): checked, not copied
+    _check_lattice(w, (u.spec.dim, u.grid.N, u.grid.N))
+    return u._derived(raw=w)
 
 
 def discrete_norm(u: GridField, s: float, r: float) -> float:
@@ -430,4 +436,4 @@ def read_snapshot(fh: io.BufferedIOBase, spec: AlgebraSpec) -> list[GridField]:
     grid = TorusGrid(N, L)
     data = np.frombuffer(fh.read(8 * count * dim * N * N), dtype="<f8")
     comps = data.reshape(count, dim, N, N).transpose(0, 1, 3, 2)
-    return [GridField(spec, grid, c.copy()) for c in comps]
+    return [GridField(spec, grid, c) for c in comps]

@@ -21,7 +21,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .nullforms import SpacetimePair, calligraphic_q, gamma1, null_form
+from .nullforms import SpacetimePair, calligraphic_q_factors, gamma1, null_form
 from .spectral import GridField
 
 METRIC_SIGN = (-1.0, 1.0, 1.0)  # eta^{alpha alpha}
@@ -202,15 +202,20 @@ def _raised_sum(terms):
 def ym4_rhs(A: tuple) -> tuple:
     """Direct expansion: Box A_beta =
     -2[A^alpha, d_alpha A_beta] + [A^alpha, d_beta A_alpha]
-    - [A^alpha, [A_alpha, A_beta]]."""
+    - [A^alpha, [A_alpha, A_beta]], the last without its zero alpha = beta
+    term and with each [A_alpha, A_beta], alpha < beta, made once."""
+    values = tuple(p.value for p in A)
+    inner = {(al, be): _br(values[al], values[be]) for al, be in ((0, 1), (0, 2), (1, 2))}
     out = []
     for beta in range(3):
         ab = A[beta]
-        t1 = _raised_sum([_br(A[al].value, ab.deriv(al)) for al in range(3)])
-        t2 = _raised_sum([_br(A[al].value, A[al].deriv(beta)) for al in range(3)])
-        t3 = _raised_sum(
-            [_br(A[al].value, _br(A[al].value, ab.value)) for al in range(3)]
-        )
+        t1 = _raised_sum([_br(values[al], ab.deriv(al)) for al in range(3)])
+        t2 = _raised_sum([_br(values[al], A[al].deriv(beta)) for al in range(3)])
+        t3 = _sum([
+            METRIC_SIGN[al] * (1.0 if al < beta else -1.0)
+            * _br(values[al], inner[min(al, beta), max(al, beta)])
+            for al in range(3) if al != beta
+        ])
         out.append(-2.0 * t1 + t2 - t3)
     return tuple(out)
 
@@ -224,49 +229,25 @@ def ymf2_rhs(state: FieldState) -> tuple:
                  - 2[F_{ag}, [A^a, A_b]] - 2[[A^a, A_b], [A_a, A_g]].
     """
     A = state.A
+    v = tuple(p.value for p in A)
+
+    def rs(term):
+        return _raised_sum([term(al) for al in range(3)])
+
     out = []
-    for beta, gamma in ((0, 1), (0, 2), (1, 2)):
-        fbg = state.f(beta, gamma)
-        t1 = _raised_sum([_br(A[al].value, fbg.deriv(al)) for al in range(3)])
-        t2 = _raised_sum(
-            [_br(A[al].deriv(gamma), A[beta].deriv(al)) for al in range(3)]
-        )
-        t3 = _raised_sum(
-            [_br(A[al].deriv(beta), A[gamma].deriv(al)) for al in range(3)]
-        )
-        t4 = _raised_sum(
-            [_br(A[beta].deriv(al), A[gamma].deriv(al)) for al in range(3)]
-        )
-        t5 = _raised_sum(
-            [_br(A[al].deriv(beta), A[al].deriv(gamma)) for al in range(3)]
-        )
-        t6 = _raised_sum(
-            [_br(A[al].value, _br(A[al].value, fbg.value)) for al in range(3)]
-        )
-        t7 = _raised_sum(
-            [
-                _br(state.f(al, beta).value, _br(A[al].value, A[gamma].value))
-                for al in range(3)
-            ]
-        )
-        t8 = _raised_sum(
-            [
-                _br(state.f(al, gamma).value, _br(A[al].value, A[beta].value))
-                for al in range(3)
-            ]
-        )
-        t9 = _raised_sum(
-            [
-                _br(
-                    _br(A[al].value, A[beta].value), _br(A[al].value, A[gamma].value)
-                )
-                for al in range(3)
-            ]
-        )
-        out.append(
-            -2.0 * t1 + 2.0 * t2 - 2.0 * t3 + 2.0 * t4 + 2.0 * t5 - t6
-            + 2.0 * t7 - 2.0 * t8 - 2.0 * t9
-        )
+    for b, g in ((0, 1), (0, 2), (1, 2)):
+        f = state.f(b, g)
+        t1 = rs(lambda al: _br(v[al], f.deriv(al)))
+        t2 = rs(lambda al: _br(A[al].deriv(g), A[b].deriv(al)))
+        t3 = rs(lambda al: _br(A[al].deriv(b), A[g].deriv(al)))
+        t4 = rs(lambda al: _br(A[b].deriv(al), A[g].deriv(al)))
+        t5 = rs(lambda al: _br(A[al].deriv(b), A[al].deriv(g)))
+        t6 = rs(lambda al: _br(v[al], _br(v[al], f.value)))
+        t7 = rs(lambda al: _br(state.f(al, b).value, _br(v[al], v[g])))
+        t8 = rs(lambda al: _br(state.f(al, g).value, _br(v[al], v[b])))
+        t9 = rs(lambda al: _br(_br(v[al], v[b]), _br(v[al], v[g])))
+        out.append(-2.0 * t1 + 2.0 * t2 - 2.0 * t3 + 2.0 * t4 + 2.0 * t5 - t6
+                   + 2.0 * t7 - 2.0 * t8 - 2.0 * t9)
     return tuple(out)
 
 
@@ -327,16 +308,18 @@ def _q12_slices(u, v):
     return _br(u.dx(1), v.dx(2)) - _br(u.dx(2), v.dx(1))
 
 
-def _cal_q(state_triple, v: SpacetimePair):
-    u0, u1, u2 = (p.lambda_pow(-1.0) for p in state_triple)
-    return calligraphic_q(u0, u1, u2, v)
+def _k_factors(us):
+    """K_alpha(U) = L_alpha(Lambda^{-1}U) + eta^{alpha alpha} Lambda^{-2}U_alpha
+    (L of calligraphic_q_factors) for pairs us = (U_0, U_1, U_2), so that
+    Q(Lambda^{-1}U, v) + [Lambda^{-2}U^alpha, d_alpha v] = [K_alpha(U), d_alpha v]."""
+    ls = calligraphic_q_factors(*(p.lambda_pow(-1.0) for p in us))
+    return tuple(l + s * p.value.lambda_pow(-2.0) for l, s, p in zip(ls, METRIC_SIGN, us))
 
 
-def _smoother_bracket(us, target: SpacetimePair):
-    """-2[Lambda^{-2} u^alpha, d_alpha target] for plain fields us = (u_0, u_1, u_2)."""
-    return -2.0 * _raised_sum(
-        [_br(u.lambda_pow(-2.0), target.deriv(al)) for al, u in enumerate(us)]
-    )
+def _k_bracket(k, target: SpacetimePair):
+    """-2 sum_alpha [K_alpha, d_alpha target] for factors k = _k_factors(U):
+    -2 Q(Lambda^{-1}U, target) - 2[Lambda^{-2}U^alpha, d_alpha target]."""
+    return -2.0 * _sum([_br(ka, target.deriv(al)) for al, ka in enumerate(k)])
 
 
 def _double_bracket(us, inner: dict):
@@ -364,44 +347,45 @@ def assemble_rhs(state: FieldState) -> tuple:
              - 2[Lambda^{-2}A^alpha, d_alpha A_beta]
              - [A^alpha, [A_alpha, A_beta]],
     with the N_{beta gamma} as displayed in the reformulation (the F slots
-    read from state.F, not recomputed from A).  The brackets [A_alpha, A_beta]
-    are made once and shared by every M and N.
+    read from state.F, not recomputed from A).  Each null-form + smoother
+    pair is made as -2 sum_alpha [K_alpha(U), d_alpha target] (_k_bracket),
+    and the factors K(A), K(d_1 A), K(d_2 A) are made once and shared by
+    every M and N, as are the brackets [A_alpha, A_beta].
     """
     A = state.A
     values = tuple(p.value for p in A)
     aa = _potential_brackets(values)
+    ks = (_k_factors(A), *(_k_factors(tuple(p.dx(i) for p in A)) for i in (1, 2)))
     M = []
     for beta in range(3):
-        ab = A[beta]
-        m = -2.0 * _cal_q(A, ab)
+        m = _k_bracket(ks[0], A[beta])
         for g in gamma_terms(state, beta, aa[1, 2][1]):
             m = m + g
-        m = m + _smoother_bracket(values, ab)
         m = m - _double_bracket(
             values, {al: aa[al, beta] for al in range(3) if al != beta})
         M.append(m)
-    return (*M, _n(state, aa, 0, 1), _n(state, aa, 0, 2), _n(state, aa, 1, 2))
+    return (*M, *(_n(state, aa, ks, b, g) for b, g in ((0, 1), (0, 2), (1, 2))))
 
 
-def _n(state: FieldState, aa: dict, beta: int, gamma: int):
+def _n(state: FieldState, aa: dict, ks: tuple, beta: int, gamma: int):
     """N_{beta gamma}, beta < gamma: the terms of ymf2_rhs with each
     [d A, d A] first-order product written as null forms plus smoother
-    brackets; aa holds the brackets [A_alpha, A_beta] as (sign, bracket)
+    brackets, each such pair as one _k_bracket: with the F_{beta gamma}
+    target on K(A) = ks[0], the A_beta target on K(d_gamma A) = ks[gamma]
+    (sign flipped) and, for beta != 0, the A_gamma target on K(d_beta A) =
+    ks[beta].  aa holds the brackets [A_alpha, A_beta] as (sign, bracket)
     pairs.  For beta = 0 the Lorenz gauge dt A_0 = d^j A_j turns
     -2[d_0 A^alpha, d_alpha A_gamma] into -2 sum_j Q_{0j}[A_j, A_gamma]."""
     A = state.A
     values = tuple(p.value for p in A)
     f = state.f(beta, gamma)
     ab, ag = A[beta], A[gamma]
-    dg = tuple(p.dx(gamma) for p in A)
-    out = -2.0 * _cal_q(A, f) + _smoother_bracket(values, f)
-    out = out + 2.0 * _cal_q(dg, ab) - _smoother_bracket([p.value for p in dg], ab)
+    out = _k_bracket(ks[0], f) - _k_bracket(ks[gamma], ab)
     if beta == 0:
         for j in (1, 2):
             out = out - 2.0 * null_form(f"Q0{j}", A[j], ag)
     else:
-        db = tuple(p.dx(beta) for p in A)
-        out = out - 2.0 * _cal_q(db, ag) + _smoother_bracket([p.value for p in db], ag)
+        out = out + _k_bracket(ks[beta], ag)
     out = out + 2.0 * null_form("Q0", ab, ag)
     # sum_alpha eta^{alpha alpha} Q_{beta gamma}[A_alpha, A_alpha], each a
     # single bracket: Q_{bg}[u, u] = 2[d_b u, d_g u]

@@ -23,7 +23,7 @@ from ym2d.evolve import (
 )
 from ym2d.identities import _lorenz_state
 from ym2d.spectral import TorusGrid, discrete_norm
-from ym2d.ym import assemble_rhs, project_gauss_data, state_from_potential
+from ym2d.ym import assemble_rhs, project_gauss_data, state_from_potential, ym4_rhs
 
 SPEC = su(2)
 
@@ -139,6 +139,15 @@ def test_half_wave_nan_guard():
             hw = step_half_wave(SPEC, TorusGrid(16), hw, 0.5)
 
 
+def test_state_from_array_does_not_follow_later_writes():
+    grid = TorusGrid(16)
+    y = array_from_state(_state(seed=5, N=16))
+    st = state_from_array(SPEC, grid, y)
+    y[1, 0, 0, 0, 0] = np.nan  # the fields were built on views of y
+    assert np.all(np.isfinite(st.A[1].value.values))
+    assert np.all(np.isfinite(st.A[1].value.dx(1).values))
+
+
 def test_picard_contracts():
     st = _state(seed=7, project=True)
     diffs, ratios = picard_iterate(st, 3, 0.1, 5e-3)
@@ -215,34 +224,39 @@ def test_every_stepper_runs_through_the_monitored_driver():
 
 # one assemble_rhs at su(2), N = 16 from values-only fields (the RK4 path):
 # 26 rfft2 (one per sum of products whose spectrum is needed, one per state
-# field with a multiplier), 126 irfft2 (one per distinct product factor; a
+# field with a multiplier), 106 irfft2 (one per distinct product factor; a
 # swapped bracket [A_b, A_a] is the factor [A_a, A_b] with its sign carried
-# to the product, so it is not transformed again),
-# 193 dealiased products, of which 6 repeat an unordered factor pair already
-# bracketed: Gamma^4's [Lambda^{-2}A_i, d_beta A_i] at beta = i (2), and
-# [d_0 A_g, d_g A_g] in N_0g, made by Q_0g[A_g, A_g] and the self null forms (4),
-# and 193 finiteness checks, one per raw product: multiplier outputs, sums and
+# to the product, so it is not transformed again, and the factors
+# K_alpha(U), U in {A, d_1 A, d_2 A}, are made once and shared),
+# 133 dealiased products (each null-form + smoother pair is the three
+# brackets [K_alpha(U), d_alpha target], 9 before), of which 4 repeat an
+# unordered factor pair already bracketed: [d_0 A_g, d_g A_g] in N_0g, made
+# by Q_0g[A_g, A_g] and the self null forms,
+# and 133 finiteness checks, one per raw product: multiplier outputs, sums and
 # scalar multiples of checked fields are not checked again (one check per
-# field built made 827)
-RHS_TRANSFORMS = {"rfft2": 26, "irfft2": 126}
-RHS_PRODUCTS = 193
-RHS_REPEATED_PRODUCTS = 6
-RHS_FINITENESS_CHECKS = 193
+# field built made 827).
+# One ym4_rhs makes 27 brackets: each [A_a, A_b], a < b, once (3) and 8 per
+# beta, the double bracket without its zero alpha = beta term.
+RHS_TRANSFORMS = {"rfft2": 26, "irfft2": 106}
+RHS_PRODUCTS = 133
+RHS_REPEATED_PRODUCTS = 4
+RHS_FINITENESS_CHECKS = 133
+YM4_PRODUCTS = 27
 
 
 def _rhs_state():
     return state_from_array(SPEC, TorusGrid(16), array_from_state(_state(seed=3, N=16)))
 
 
-def _count_rhs_calls(monkeypatch, owner, names, state):
-    """Calls of owner.<name> made by one assemble_rhs(state)."""
+def _count_rhs_calls(monkeypatch, owner, names, state, rhs=assemble_rhs):
+    """Calls of owner.<name> made by one rhs(state)."""
     calls = dict.fromkeys(names, 0)
     for name in names:
         def counted(*args, _fn=getattr(owner, name), _name=name, **kwargs):
             calls[_name] += 1
             return _fn(*args, **kwargs)
         monkeypatch.setattr(owner, name, counted)
-    assemble_rhs(state)
+    rhs(state)
     return calls
 
 
@@ -272,6 +286,12 @@ def test_assemble_rhs_product_count(monkeypatch):
     # GridField.bracket looks the module-level function up at call time
     calls = _count_rhs_calls(monkeypatch, spectral, ["dealiased_product"], _rhs_state())
     assert 0 < calls["dealiased_product"] <= RHS_PRODUCTS
+
+
+def test_ym4_rhs_product_count(monkeypatch):
+    A = _rhs_state().A
+    calls = _count_rhs_calls(monkeypatch, spectral, ["dealiased_product"], A, ym4_rhs)
+    assert 0 < calls["dealiased_product"] <= YM4_PRODUCTS
 
 
 def test_assemble_rhs_finiteness_check_count(monkeypatch):

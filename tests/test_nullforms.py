@@ -1,15 +1,16 @@
 import numpy as np
 import pytest
 
-from ym2d.algebra import su
+from ym2d.algebra import so, su
 from ym2d.nullforms import (
     Q_KINDS,
     SpacetimePair,
+    calligraphic_q,
     null_form,
     sin_angle,
     symbol_eval,
 )
-from ym2d.planewave import PlaneWaveField
+from ym2d.planewave import PlaneWaveField, random_field
 
 
 def _wave(tau, xi, seed=0, n=2):
@@ -36,6 +37,22 @@ def test_null_form_symbol_on_single_modes(kind):
     sign = 1.0 if kind == "Q0" else -1.0
     expect = sign * sym * (cu @ cv - cv @ cu)
     assert np.max(np.abs(_coeff(w) - expect)) < 1e-12
+
+
+@pytest.mark.parametrize("spec", [su(2), su(3), so(4)], ids=["su2", "su3", "so4"])
+@pytest.mark.parametrize("commutator", [True, False])
+def test_calligraphic_q_is_the_named_null_form(spec, commutator):
+    """The three regrouped products equal -Q12[R1 u2 - R2 u1, v]
+    - sum_i Q0i[R_i u0, v] built from the named forms."""
+    for seed in range(4):
+        rng = np.random.default_rng(seed)
+        u0, u1, u2, v = (SpacetimePair.from_planewave(random_field(spec, 3, rng, scale=0.5))
+                         for _ in range(4))
+        want = -1.0 * null_form("Q12", u2.riesz(1) - u1.riesz(2), v, commutator)
+        for i in (1, 2):
+            want = want - null_form(f"Q0{i}", u0.riesz(i), v, commutator)
+        assert want.norm() > 1e-3
+        assert (calligraphic_q(u0, u1, u2, v, commutator) - want).norm() <= 1e-12
 
 
 def test_commutator_null_form_swap_symmetry():

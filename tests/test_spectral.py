@@ -166,6 +166,17 @@ def test_spectra_read_only():
         f.grid.multiplier_array("derivative", 1)[0, 1] = np.nan
 
 
+def test_field_built_on_a_view_cannot_change():
+    # freezing a view leaves its base writable, so the constructor copies it
+    f = _field(12)
+    base = np.stack([np.array(f.values), np.array(f.values)])
+    rbase = np.stack([np.array(f.rhat), np.array(f.rhat)])
+    fields = (GridField(SPEC, f.grid, base[1]), GridField.from_rhat(SPEC, f.grid, rbase[1]))
+    base[1, 0, 0, 0] = rbase[1, 0, 0, 0] = np.nan
+    for g in fields:
+        assert np.all(np.isfinite(g.values)) and np.all(np.isfinite(g.dx(1).values))
+
+
 def test_fields_store_values_or_spectrum():
     f = _field(6)
     g = f.dx(1)
