@@ -22,7 +22,9 @@ large samples, plus resolution-stability for the grid sweeps.
 
 from __future__ import annotations
 
+import copy
 from dataclasses import dataclass, field
+import functools
 import math
 
 import numpy as np
@@ -49,6 +51,11 @@ FK_CASES = (
 ESTIMATE_IDS = tuple(range(21, 38))
 
 DEGENERACY_EPS = 1e-12
+
+# Samples per slice of a ratio evaluation: the temporaries of one slice
+# (128 KB each) stay in L2, and the count is a multiple of the SIMD width, so
+# every slice but the last has no tail loop.
+SAMPLE_BLOCK = 16_384
 
 
 @dataclass(frozen=True)
@@ -112,6 +119,42 @@ def _random_vectors(rng, count, radius_range):
     return np.stack([radius * np.cos(theta), radius * np.sin(theta)], axis=-1)
 
 
+def _vector_draws(cfg, shared=None):
+    """The two vector sets every sampled check starts from, and the generator
+    in its state after them.
+
+    shared is the result of a call without it; the arrays are reused as they
+    are (the checks only read them) and the generator is copied, so each
+    check draws what it would draw on its own."""
+    if shared is None:
+        rng = np.random.default_rng(cfg.rng_seed)
+        first = _random_vectors(rng, cfg.count, cfg.radius_range)
+        second = _random_vectors(rng, cfg.count, cfg.radius_range)
+        return first, second, rng
+    first, second, rng = shared
+    return first, second, copy.deepcopy(rng)
+
+
+def _blockwise(ratio):
+    """Evaluate an elementwise ratio on SAMPLE_BLOCK slices of its array
+    arguments (other arguments are passed as they are); equal bit for bit to
+    one call on the whole arrays."""
+
+    @functools.wraps(ratio)
+    def blocked(*args):
+        n = max(a.shape[0] for a in args if isinstance(a, np.ndarray))
+        if n <= SAMPLE_BLOCK:
+            return ratio(*args)
+        out = np.empty(n)
+        for lo in range(0, n, SAMPLE_BLOCK):
+            part = slice(lo, lo + SAMPLE_BLOCK)
+            out[part] = ratio(*(a[part] if isinstance(a, np.ndarray) else a
+                                for a in args))
+        return out
+
+    return blocked
+
+
 def _random_times(rng, count, xi_abs, eta_abs):
     """Mix of uniform and characteristic-pinned time frequencies.
 
@@ -146,6 +189,7 @@ def _report_from_ratios(name, ratios, points, threshold, skipped=0):
 
 # --- Gamma^1 reduced symbol ----------------------------------------------
 
+@_blockwise
 def _gamma1_ratio(xi1, xi2, tau, eta1, eta2, lam):
     """|p| over its dominating three-part expression (vectorized)."""
     bx = np.sqrt(1.0 + xi1**2 + xi2**2)
@@ -161,12 +205,12 @@ def _gamma1_ratio(xi1, xi2, tau, eta1, eta2, lam):
     return np.abs(p) / dom
 
 
-def check_gamma1_symbol(cfg: SampleConfig) -> BoundReport:
+def check_gamma1_symbol(cfg: SampleConfig, shared=None) -> BoundReport:
     """|p| <= threshold * (|q12|/(|xi||eta|) + |tau lam - xi.eta|/(<xi><eta>)
-    + <xi>^-2 + <eta>^-2) with p = -1 + (xi.eta) tau lam / (<xi>^2 <eta>^2)."""
-    rng = np.random.default_rng(cfg.rng_seed)
-    xi = _random_vectors(rng, cfg.count, cfg.radius_range)
-    eta = _random_vectors(rng, cfg.count, cfg.radius_range)
+    + <xi>^-2 + <eta>^-2) with p = -1 + (xi.eta) tau lam / (<xi>^2 <eta>^2).
+
+    shared: the suite's `_vector_draws`; drawn here when not given."""
+    xi, eta, rng = _vector_draws(cfg, shared)
     xi_abs = np.hypot(xi[:, 0], xi[:, 1])
     eta_abs = np.hypot(eta[:, 0], eta[:, 1])
     # stress the characteristic surface: tau ~ +-<xi>, lam ~ +-<eta> half the time
@@ -181,6 +225,7 @@ def check_gamma1_symbol(cfg: SampleConfig) -> BoundReport:
 
 # --- Foschi-Klainerman symbol bounds --------------------------------------
 
+@_blockwise
 def _fk_ratio(case, eta1, eta2, z1, z2):
     """Ratio of the null-form symbol at (eta, xi - eta) to its FK bound.
 
@@ -223,17 +268,26 @@ def _fk_ratio(case, eta1, eta2, z1, z2):
     return ratio
 
 
-def check_fk_symbol_bounds(case: str, cfg: SampleConfig) -> BoundReport:
-    """One of the five angular symbol bounds behind the bilinear estimates."""
-    if case not in FK_CASES:
-        raise ValueError(f"unknown FK case {case!r}; choose from {FK_CASES}")
-    rng = np.random.default_rng(cfg.rng_seed)
-    eta = _random_vectors(rng, cfg.count, cfg.radius_range)
-    z = _random_vectors(rng, cfg.count, cfg.radius_range)
+def _fk_vectors(cfg, shared=None):
+    """(eta, z = xi - eta) for the FK cases: the shared draws with a tenth of
+    z snapped onto the line of eta."""
+    eta, z, rng = _vector_draws(cfg, shared)
     # include near-collinear pairs, where the bounds degenerate to 0/0
     snap = rng.random(cfg.count) < 0.1
     scale = np.exp(rng.uniform(-2, 2, size=cfg.count))
+    z = z.copy()  # the drawn z is another check's eta
     z[snap] = eta[snap] * scale[snap, None]
+    return eta, z
+
+
+def check_fk_symbol_bounds(case: str, cfg: SampleConfig, vectors=None) -> BoundReport:
+    """One of the five angular symbol bounds behind the bilinear estimates.
+
+    vectors: the suite's `_fk_vectors`, shared by the five cases; drawn here
+    when not given."""
+    if case not in FK_CASES:
+        raise ValueError(f"unknown FK case {case!r}; choose from {FK_CASES}")
+    eta, z = vectors if vectors is not None else _fk_vectors(cfg)
     ratios = _fk_ratio(case, eta[:, 0], eta[:, 1], z[:, 0], z[:, 1])
     good = np.isfinite(ratios)
     skipped = int(np.sum(~good))
@@ -254,6 +308,7 @@ def _angle_between(x1, x2, y1, y2):
     return np.arccos(np.clip(dot / nn, -1.0, 1.0))
 
 
+@_blockwise
 def _angle_ratio(xi1, xi2, tau, eta1, eta2, lam, alpha, beta, gamma, s1, s2):
     bx = np.sqrt(1.0 + xi1**2 + xi2**2)
     be = np.sqrt(1.0 + eta1**2 + eta2**2)
@@ -268,16 +323,14 @@ def _angle_ratio(xi1, xi2, tau, eta1, eta2, lam, alpha, beta, gamma, s1, s2):
 
 
 def check_angle_estimate(
-    cfg: SampleConfig, alpha: float, beta: float, gamma: float
+    cfg: SampleConfig, alpha: float, beta: float, gamma: float, shared=None
 ) -> BoundReport:
     """Angle(+-1 xi, +-2 eta) against the three-term modulation bound,
     sup over all four sign pairs."""
     for e in (alpha, beta, gamma):
         if not 0.0 <= e <= 0.5:
             raise ValueError("exponents must lie in [0, 1/2]")
-    rng = np.random.default_rng(cfg.rng_seed)
-    xi = _random_vectors(rng, cfg.count, cfg.radius_range)
-    eta = _random_vectors(rng, cfg.count, cfg.radius_range)
+    xi, eta, rng = _vector_draws(cfg, shared)
     nx = np.hypot(xi[:, 0], xi[:, 1])
     ne = np.hypot(eta[:, 0], eta[:, 1])
     tau, lam = _random_times(rng, cfg.count, nx, ne)
@@ -310,6 +363,7 @@ def check_angle_estimate(
 
 # --- hyperbolic Leibniz rule ----------------------------------------------
 
+@_blockwise
 def _hlr_ratio(tau, rho, xi1, xi2, eta1, eta2):
     """||tau|-|xi|| over the three-term right side with the sign-matched b.
 
@@ -329,10 +383,8 @@ def _hlr_ratio(tau, rho, xi1, xi2, eta1, eta2):
     return lhs / np.maximum(t1 + t2 + b, DEGENERACY_EPS)
 
 
-def check_hyperbolic_leibniz(cfg: SampleConfig) -> BoundReport:
-    rng = np.random.default_rng(cfg.rng_seed)
-    xi = _random_vectors(rng, cfg.count, cfg.radius_range)
-    eta = _random_vectors(rng, cfg.count, cfg.radius_range)
+def check_hyperbolic_leibniz(cfg: SampleConfig, shared=None) -> BoundReport:
+    xi, eta, rng = _vector_draws(cfg, shared)
     nx = np.hypot(xi[:, 0], xi[:, 1])
     ne = np.hypot(eta[:, 0], eta[:, 1])
     nz = np.hypot(xi[:, 0] - eta[:, 0], xi[:, 1] - eta[:, 1])
@@ -692,10 +744,15 @@ def evaluate_point(name: str, point: dict) -> float:
 
 def run_symbol_suite(cfg: SampleConfig) -> list:
     """The full sampled symbol layer: Gamma^1, five FK cases, the angle
-    estimate at (1/2, 1/2, 1/2), and the hyperbolic Leibniz rule."""
-    reports = [check_gamma1_symbol(cfg)]
+    estimate at (1/2, 1/2, 1/2), and the hyperbolic Leibniz rule.
+
+    The two vector sets are drawn once and read by every check; each report
+    equals the one its check makes on its own."""
+    shared = _vector_draws(cfg)
+    reports = [check_gamma1_symbol(cfg, shared)]
+    fk = _fk_vectors(cfg, shared)
     for case in FK_CASES:
-        reports.append(check_fk_symbol_bounds(case, cfg))
-    reports.append(check_angle_estimate(cfg, 0.5, 0.5, 0.5))
-    reports.append(check_hyperbolic_leibniz(cfg))
+        reports.append(check_fk_symbol_bounds(case, cfg, fk))
+    reports.append(check_angle_estimate(cfg, 0.5, 0.5, 0.5, shared))
+    reports.append(check_hyperbolic_leibniz(cfg, shared))
     return reports

@@ -96,9 +96,10 @@ def state_from_array(spec: AlgebraSpec, grid: TorusGrid, y: np.ndarray) -> Field
 
 
 def _wave_dy(y, pairs, rhs) -> np.ndarray:
-    """d/dt (u, u_t) = (u_t, Laplace u - RHS) per component."""
+    """d/dt (u, u_t) = (u_t, Laplace u - RHS) per component; one RHS per
+    component of y, or ValueError."""
     dy = np.empty_like(y)
-    for c, (p, r) in enumerate(zip(pairs, rhs)):
+    for c, (p, r) in enumerate(zip(pairs, rhs, strict=True)):
         dy[c, 0] = y[c, 1]
         dy[c, 1] = (p.value.laplacian() - r).values
     return dy
@@ -329,11 +330,12 @@ def picard_iterate(
 
     free = free_traj()
     prev = free.copy()  # u^{(0)}
+    g0 = _half_wave_source(spec, grid, hw0)  # every iterate starts at hw0
     diffs = []
     ratios = []
     bad = 0
     for m in range(k):
-        g_prev = _half_wave_source(spec, grid, prev[0])
+        g_prev = g0
         cur = np.empty_like(prev)
         cur[0] = hw0
         integral = np.zeros_like(hw0)

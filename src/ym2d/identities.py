@@ -1,13 +1,16 @@
 """Exact plane-wave witnesses for the algebraic identities behind the
 reformulated system.
 
-Every check builds random Lorenz-compatible plane-wave fields, evaluates both
-sides of one identity with the exact mode calculus, and returns the residual
-norm (max coefficient magnitude of the difference).  All identities are exact,
-so residuals are at rounding level; the suite treats <= 1e-10 as a pass.
+Every check reads the random Lorenz-compatible plane-wave fields of one seed
+(`seed_inputs`), evaluates both sides of one identity with the exact mode
+calculus, and returns the residual norm (max coefficient magnitude of the
+difference).  All identities are exact, so residuals are at rounding level;
+the suite treats <= 1e-10 as a pass.
 """
 
 from __future__ import annotations
+
+from typing import NamedTuple
 
 import numpy as np
 
@@ -43,15 +46,33 @@ def _phi(spec, seed, scale, modes):
     return random_field(spec, modes, rng, scale=scale)
 
 
+class SeedInputs(NamedTuple):
+    """The fields every check of one seed reads: a Lorenz-compatible state
+    and an independent test field phi."""
+
+    state: FieldState
+    phi: SpacetimePair
+
+
+def seed_inputs(
+    spec: AlgebraSpec, seed: int, scale: float = DEFAULT_SCALE, modes: int = DEFAULT_MODES
+) -> SeedInputs:
+    """Build the inputs of one seed; the checks only read them."""
+    return SeedInputs(
+        _lorenz_state(spec, seed, scale, modes),
+        SpacetimePair.from_planewave(_phi(spec, seed, scale, modes)),
+    )
+
+
 def _raised_bracket_sum(A, phi_pair, deriv_of_A=False):
     """[A^alpha, d_alpha phi] (or [d_t A^alpha, d_alpha phi])."""
     left = [p.time_deriv if deriv_of_A else p.value for p in A]
     return _raised_sum([u.bracket(phi_pair.deriv(al)) for al, u in enumerate(left)])
 
 
-def check_nullform_trick(spec, seed, scale=DEFAULT_SCALE, modes=DEFAULT_MODES):
+def check_nullform_trick(inputs: SeedInputs) -> float:
     """[d_a u, d_b u] = (1/2) Q_{ab}[u, u] for all index pairs."""
-    u = SpacetimePair.from_planewave(_phi(spec, seed, scale, modes))
+    u = inputs.phi
     worst = 0.0
     for kind, (a, b) in (("Q01", (0, 1)), ("Q02", (0, 2)), ("Q12", (1, 2))):
         lhs = u.deriv(a).bracket(u.deriv(b))
@@ -60,21 +81,19 @@ def check_nullform_trick(spec, seed, scale=DEFAULT_SCALE, modes=DEFAULT_MODES):
     return worst
 
 
-def check_null0(spec, seed, scale=DEFAULT_SCALE, modes=DEFAULT_MODES):
+def check_null0(inputs: SeedInputs) -> float:
     """[A^a, d_a phi] = calligraphic_q(Lambda^{-1}A, phi)
     + [Lambda^{-2}A^a, d_a phi] in Lorenz gauge, as sum_a [K_a(A), d_a phi]
     on the factors K_a(A) that assemble_rhs brackets."""
-    st = _lorenz_state(spec, seed, scale, modes)
-    phi = SpacetimePair.from_planewave(_phi(spec, seed, scale, modes))
+    st, phi = inputs
     lhs = _raised_bracket_sum(st.A, phi)
     rhs = _sum([k.bracket(phi.deriv(al)) for al, k in enumerate(_k_factors(st.A))])
     return (lhs - rhs).norm()
 
 
-def check_null1(spec, seed, scale=DEFAULT_SCALE, modes=DEFAULT_MODES):
+def check_null1(inputs: SeedInputs) -> float:
     """[d_t A^a, d_a phi] = sum_i Q_{0i}[A_i, phi] in Lorenz gauge."""
-    st = _lorenz_state(spec, seed, scale, modes)
-    phi = SpacetimePair.from_planewave(_phi(spec, seed, scale, modes))
+    st, phi = inputs
     lhs = _raised_bracket_sum(st.A, phi, deriv_of_A=True)
     rhs = null_form("Q01", st.A[1], phi) + null_form("Q02", st.A[2], phi)
     return (lhs - rhs).norm()
@@ -89,12 +108,11 @@ def _null23_pieces(st, phi):
     return w, r, smooth
 
 
-def check_null2(spec, seed, scale=DEFAULT_SCALE, modes=DEFAULT_MODES):
+def check_null2(inputs: SeedInputs) -> float:
     """Ordered product version:
     A^a d_a phi = -Q12(w, phi) + Q_{i0}(Lambda^{-1}R^i A_0, phi)
                   + Lambda^{-2}A^a d_a phi."""
-    st = _lorenz_state(spec, seed, scale, modes)
-    phi = SpacetimePair.from_planewave(_phi(spec, seed, scale, modes))
+    st, phi = inputs
 
     def prod_sum(A):
         return _raised_sum([p.value @ phi.deriv(al) for al, p in enumerate(A)])
@@ -109,7 +127,7 @@ def check_null2(spec, seed, scale=DEFAULT_SCALE, modes=DEFAULT_MODES):
     return (lhs - rhs).norm()
 
 
-def check_null3(spec, seed, scale=DEFAULT_SCALE, modes=DEFAULT_MODES):
+def check_null3(inputs: SeedInputs) -> float:
     """Mirror of check_null2 with phi on the left:
     d_a phi A^a = +Q12(phi, w) + Q_{0i}(phi, Lambda^{-1}R^i A_0)
                   + d_a phi Lambda^{-2} A^a.
@@ -118,8 +136,7 @@ def check_null3(spec, seed, scale=DEFAULT_SCALE, modes=DEFAULT_MODES):
     signs on both null-form terms compared to the ordered version with A on
     the left; only this sign choice makes the identity exact, and it is the
     one consistent with the combined commutator decomposition.)"""
-    st = _lorenz_state(spec, seed, scale, modes)
-    phi = SpacetimePair.from_planewave(_phi(spec, seed, scale, modes))
+    st, phi = inputs
 
     def prod_sum(A):
         return _raised_sum([phi.deriv(al) @ p.value for al, p in enumerate(A)])
@@ -133,9 +150,9 @@ def check_null3(spec, seed, scale=DEFAULT_SCALE, modes=DEFAULT_MODES):
     return (lhs - rhs).norm()
 
 
-def check_gamma_decomposition(spec, seed, scale=DEFAULT_SCALE, modes=DEFAULT_MODES):
+def check_gamma_decomposition(inputs: SeedInputs) -> float:
     """[A^a, d_b A_a] = sum_{i=1..4} Gamma^i_b for b = 0, 1, 2."""
-    st = _lorenz_state(spec, seed, scale, modes)
+    st = inputs.state
     a12 = st.A[1].value.bracket(st.A[2].value)
     worst = 0.0
     for beta in range(3):
@@ -145,9 +162,9 @@ def check_gamma_decomposition(spec, seed, scale=DEFAULT_SCALE, modes=DEFAULT_MOD
     return worst
 
 
-def check_af_equivalence(spec, seed, scale=DEFAULT_SCALE, modes=DEFAULT_MODES):
+def check_af_equivalence(inputs: SeedInputs) -> float:
     """Assembled (M, N) equal the direct wave-equation right sides."""
-    st = _lorenz_state(spec, seed, scale, modes)
+    st = inputs.state
     m0, m1, m2, n01, n02, n12 = assemble_rhs(st)
     y = ym4_rhs(st.A)
     z = ymf2_rhs(st)
@@ -157,32 +174,31 @@ def check_af_equivalence(spec, seed, scale=DEFAULT_SCALE, modes=DEFAULT_MODES):
     return worst
 
 
-def check_scaling_covariance(spec, seed, scale=DEFAULT_SCALE, modes=DEFAULT_MODES):
+def check_scaling_covariance(inputs: SeedInputs) -> float:
     """The wave operator residual S(A) = Box A - rhs scales as
     S(A_lam) = lam^3 S(A)(lam t, lam x) for A_lam = lam A(lam t, lam x)."""
 
     def box(u):
         return u.dt().dt() - u.dx(1).dx(1) - u.dx(2).dx(2)
 
-    st = _lorenz_state(spec, seed, scale, modes)
+    st = inputs.state
+    residual = [box(p.value) - r for p, r in zip(st.A, ym4_rhs(st.A))]
     worst = 0.0
     for lam in (2.0, 0.5):
         A_lam = tuple(
             SpacetimePair.from_planewave(lam * p.value.rescale(lam)) for p in st.A
         )
-        rhs = ym4_rhs(st.A)
         rhs_lam = ym4_rhs(A_lam)
         for beta in range(3):
-            s = box(st.A[beta].value) - rhs[beta]
             s_lam = box(A_lam[beta].value) - rhs_lam[beta]
-            diff = s_lam - (lam**3) * s.rescale(lam)
+            diff = s_lam - (lam**3) * residual[beta].rescale(lam)
             worst = max(worst, diff.norm())
     return worst
 
 
-def check_data_consistency(spec, seed, scale=DEFAULT_SCALE, modes=DEFAULT_MODES):
+def check_data_consistency(inputs: SeedInputs) -> float:
     """Curvature data construction agrees with F[A] at t = 0."""
-    st = _lorenz_state(spec, seed, scale, modes)
+    st = inputs.state
     a = tuple(p.value for p in st.A)
     a_dot = tuple(p.time_deriv for p in st.A)
     f01, f02, f12, *_ = data_from_potential(a, a_dot)
@@ -213,8 +229,12 @@ def run_identity_suite(
     scale: float = DEFAULT_SCALE,
     modes: int = DEFAULT_MODES,
 ) -> dict:
-    """Max residual of every named identity over the given seeds."""
-    out = {}
-    for name, fn in IDENTITY_CHECKS.items():
-        out[name] = max(fn(spec, seed, scale, modes) for seed in seeds)
-    return out
+    """Max residual of every named identity over the given seeds.
+
+    The inputs of a seed are built once and read by all nine checks."""
+    residuals = {name: [] for name in IDENTITY_CHECKS}
+    for seed in seeds:
+        inputs = seed_inputs(spec, seed, scale, modes)
+        for name, fn in IDENTITY_CHECKS.items():
+            residuals[name].append(fn(inputs))
+    return {name: max(r) for name, r in residuals.items()}

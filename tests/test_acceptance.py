@@ -27,14 +27,11 @@ from ym2d.estimates import (
     GROWTH_THRESHOLD,
     HLR_THRESHOLD,
     SampleConfig,
-    check_angle_estimate,
-    check_fk_symbol_bounds,
-    check_gamma1_symbol,
-    check_hyperbolic_leibniz,
     delta_integral_ellipse,
     elliptic_i,
     elliptic_i_sweep,
     empirical_bilinear_constant,
+    run_symbol_suite,
 )
 from ym2d.evolve import (
     EvolveConfig,
@@ -190,15 +187,17 @@ def test_criterion_4_convergence():
 def test_criterion_5_symbol_bounds():
     t0 = time.perf_counter()
     cfg = SampleConfig(count=10**6, rng_seed=0)
-    reports = [check_gamma1_symbol(cfg)]
-    reports += [check_fk_symbol_bounds(c, cfg) for c in FK_CASES]
-    reports.append(check_angle_estimate(cfg, 0.5, 0.5, 0.5))
-    reports.append(check_hyperbolic_leibniz(cfg))
+    # gamma1Symbol, the five FK cases, the angle estimate at (1/2, 1/2, 1/2)
+    # and the hyperbolic Leibniz rule, each equal to its standalone check
+    reports = run_symbol_suite(cfg)
     elapsed = time.perf_counter() - t0
+    names = ["gamma1Symbol", *(f"fk_{c}" for c in FK_CASES), "angleEstimate",
+             "hyperbolicLeibniz"]
     thresholds = (
         [GAMMA1_THRESHOLD] + [FK_THRESHOLD] * 5 + [ANGLE_THRESHOLD, HLR_THRESHOLD]
     )
-    ok = all(r.passed and r.sup_ratio <= t for r, t in zip(reports, thresholds))
+    ok = [r.name for r in reports] == names
+    ok = ok and all(r.passed and r.sup_ratio <= t for r, t in zip(reports, thresholds))
     ok = ok and elapsed <= 300.0
     sups = ", ".join(f"{r.name} {r.sup_ratio:.2f}" for r in reports)
     _verdict(5, ok, f"{sups}, {elapsed:.0f} s")

@@ -1,6 +1,7 @@
 import numpy as np
 import pytest
 
+from ym2d import estimates
 from ym2d.algebra import su
 from ym2d.estimates import (
     ANGLE_THRESHOLD,
@@ -9,9 +10,17 @@ from ym2d.estimates import (
     FK_THRESHOLD,
     GAMMA1_THRESHOLD,
     HLR_THRESHOLD,
+    SAMPLE_BLOCK,
     SampleConfig,
+    _angle_ratio,
     _expression_norms,
+    _fk_ratio,
+    _fk_vectors,
     _free_wave_pair,
+    _gamma1_ratio,
+    _hlr_ratio,
+    _random_times,
+    _vector_draws,
     check_angle_estimate,
     check_fk_symbol_bounds,
     check_gamma1_symbol,
@@ -28,6 +37,9 @@ from ym2d.nullforms import SpacetimePair, gamma1
 from ym2d.spectral import GridField, TorusGrid, weighted_hat_norm
 
 CFG = SampleConfig(count=20000, rng_seed=0)
+# run_symbol_suite draws its two vector sets once for all eight checks (16
+# draws when each check drew its own)
+SUITE_VECTOR_DRAWS = 2
 
 
 def test_sample_config_validation():
@@ -69,6 +81,58 @@ def test_argmax_points_audit():
     for rep in run_symbol_suite(CFG):
         again = evaluate_point(rep.name, rep.argmax_point)
         assert again == pytest.approx(rep.sup_ratio, rel=1e-10)
+
+
+def test_symbol_suite_draws_vectors_once(monkeypatch):
+    calls = []
+    draw = estimates._random_vectors
+
+    def counted(*args):
+        calls.append(1)
+        return draw(*args)
+
+    monkeypatch.setattr(estimates, "_random_vectors", counted)
+    run_symbol_suite(SampleConfig(count=100, rng_seed=1))
+    assert len(calls) == SUITE_VECTOR_DRAWS
+
+
+@pytest.mark.parametrize("seed", [0, 5])
+def test_symbol_suite_reports_equal_standalone_checks(seed):
+    cfg = SampleConfig(count=20000, rng_seed=seed)
+    alone = [check_gamma1_symbol(cfg)]
+    alone += [check_fk_symbol_bounds(case, cfg) for case in FK_CASES]
+    alone += [check_angle_estimate(cfg, 0.5, 0.5, 0.5), check_hyperbolic_leibniz(cfg)]
+    suite = run_symbol_suite(cfg)
+    assert [r.name for r in suite] == [r.name for r in alone]
+    for got, want in zip(suite, alone):
+        assert got.sup_ratio == want.sup_ratio, got.name
+        assert got.argmax_point == want.argmax_point, got.name
+        assert (got.skipped, got.samples) == (want.skipped, want.samples), got.name
+
+
+@pytest.mark.parametrize("count", [1000, 3 * SAMPLE_BLOCK + 5])
+def test_blocked_ratios_equal_whole_array(count):
+    """The ratios, sliced into SAMPLE_BLOCK blocks, equal one evaluation on
+    the whole (strided) sample arrays bit for bit, nan included."""
+    cfg = SampleConfig(count=count, rng_seed=2)
+    xi, eta, rng = _vector_draws(cfg)
+    nx, ne = np.hypot(xi[:, 0], xi[:, 1]), np.hypot(eta[:, 0], eta[:, 1])
+    tau, lam = _random_times(rng, count, nx, ne)
+    calls = [(_gamma1_ratio, (xi[:, 0], xi[:, 1], tau, eta[:, 0], eta[:, 1], lam)),
+             (_hlr_ratio, (tau, lam, xi[:, 0], xi[:, 1], eta[:, 0], eta[:, 1]))]
+    calls += [(_angle_ratio, (xi[:, 0], xi[:, 1], tau, eta[:, 0], eta[:, 1], lam,
+                              0.5, 0.3, 0.1, s1, s2))
+              for s1 in (1.0, -1.0) for s2 in (1.0, -1.0)]
+    fk_eta, z = _fk_vectors(cfg)
+    calls += [(_fk_ratio, (case, fk_eta[:, 0], fk_eta[:, 1], z[:, 0], z[:, 1]))
+              for case in FK_CASES]
+    nan_seen = False
+    for ratio, args in calls:
+        got = ratio(*args)
+        assert got.shape == (count,)
+        assert np.array_equal(got, ratio.__wrapped__(*args), equal_nan=True), ratio
+        nan_seen |= bool(np.isnan(got).any())
+    assert nan_seen  # the degenerate branch of _fk_ratio ran
 
 
 def test_report_serialization():

@@ -3,12 +3,13 @@ import gc
 import numpy as np
 import pytest
 
-from ym2d import planewave, spectral
+from ym2d import evolve, planewave, spectral
 from ym2d.algebra import su
 from ym2d.evolve import (
     EvolveConfig,
     _hw_norm,
     _second_order_rhs,
+    _ym4_rhs_array,
     analytic_potential,
     array_from_state,
     evolve_and_monitor,
@@ -154,6 +155,32 @@ def test_picard_contracts():
     assert len(diffs) == 3 and len(ratios) == 2
     assert all(r <= 0.5 for r in ratios)
     assert diffs[0] > diffs[1] > diffs[2]
+
+
+def test_picard_source_count(monkeypatch):
+    # the source at t = 0 is the same for every iterate (all start at the
+    # data), so a call makes 1 + k * steps sources, not k * (steps + 1)
+    st = _state(seed=2, N=16)
+    k, steps = 2, 2
+    calls = []
+    source = evolve._half_wave_source
+
+    def counted(*args):
+        calls.append(1)
+        return source(*args)
+
+    monkeypatch.setattr(evolve, "_half_wave_source", counted)
+    picard_iterate(st, k, steps * 1e-3, 1e-3)
+    assert len(calls) == 1 + k * steps
+
+
+def test_ym4_rhs_array_rejects_a_full_state():
+    # the twin answers the three potentials only; given all six components
+    # it would leave the F slots of its output unset
+    y = array_from_state(_state(seed=3, N=16))
+    with pytest.raises(ValueError):
+        _ym4_rhs_array(SPEC, TorusGrid(16), y)
+    assert _ym4_rhs_array(SPEC, TorusGrid(16), y[:3]).shape == y[:3].shape
 
 
 def test_records_to_csv_schema(tmp_path):

@@ -2,10 +2,21 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from ym2d import identities
 from ym2d.algebra import so, su
-from ym2d.identities import IDENTITY_CHECKS, run_identity_suite
+from ym2d.identities import (
+    IDENTITY_CHECKS,
+    check_scaling_covariance,
+    run_identity_suite,
+    seed_inputs,
+)
 
 TOL = 1e-10
+# run_identity_suite builds one Lorenz state per seed and all nine checks read
+# it (8 per seed when each check built its own); check_scaling_covariance
+# makes ym4_rhs once for A and once per lambda (2.0 and 0.5).
+LORENZ_STATES_PER_SEED = 1
+SCALING_YM4_CALLS = 3
 
 
 def test_suite_has_all_layers():
@@ -32,7 +43,7 @@ def test_identity_suite_small(spec):
 
 @pytest.mark.parametrize("name", sorted(IDENTITY_CHECKS))
 def test_each_identity_individually(name):
-    resid = IDENTITY_CHECKS[name](su(2), 17)
+    resid = IDENTITY_CHECKS[name](seed_inputs(su(2), 17))
     assert resid <= TOL
 
 
@@ -46,8 +57,9 @@ def test_each_identity_individually(name):
 def test_identities_hold_on_generated_inputs(spec, seed, modes, scale):
     """Every identity on generated algebras, mode counts and scales; a
     failure shrinks to the fewest modes that break it."""
+    inputs = seed_inputs(spec, seed, scale, modes)
     for name, check in IDENTITY_CHECKS.items():
-        resid = check(spec, seed, scale, modes)
+        resid = check(inputs)
         assert resid <= TOL, f"{name}: residual {resid:.3e}"
 
 
@@ -62,3 +74,38 @@ def test_residuals_nontrivial_inputs():
     rhs = assemble_rhs(st)
 
     assert max(p.norm() for p in rhs) > 1e-6
+
+
+def _counted(monkeypatch, name):
+    """Count the calls identities makes of its module-level function name."""
+    calls = []
+    fn = getattr(identities, name)
+
+    def counted(*args, **kwargs):
+        calls.append(1)
+        return fn(*args, **kwargs)
+
+    monkeypatch.setattr(identities, name, counted)
+    return calls
+
+
+def test_suite_builds_one_lorenz_state_per_seed(monkeypatch):
+    calls = _counted(monkeypatch, "_lorenz_state")
+    run_identity_suite(su(2), seeds=range(2))
+    assert len(calls) == 2 * LORENZ_STATES_PER_SEED
+
+
+def test_scaling_covariance_ym4_rhs_count(monkeypatch):
+    inputs = seed_inputs(su(2), 0)
+    calls = _counted(monkeypatch, "ym4_rhs")
+    check_scaling_covariance(inputs)
+    assert len(calls) == SCALING_YM4_CALLS
+
+
+@pytest.mark.parametrize("spec", [su(2), so(4)], ids=str)
+def test_suite_equals_per_check_maxima(spec):
+    seeds = range(5, 8)
+    per_seed = [seed_inputs(spec, seed) for seed in seeds]
+    expected = {name: max(check(inputs) for inputs in per_seed)
+                for name, check in IDENTITY_CHECKS.items()}
+    assert run_identity_suite(spec, seeds=seeds) == expected
