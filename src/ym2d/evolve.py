@@ -8,6 +8,16 @@ A reference evolution of the potential alone (direct wave-equation expansion)
 runs as a cross-validation twin beside every stepper; evolve_and_monitor is
 the one driver for all of them.
 
+Every stepper carries its state in coefficient space, on the rfft2 half-plane
+of spectral.py: RK4 and the twin carry the spectra (rhat(u), rhat(u_t)) of
+each component (shape (6 or 3, 2, dim, N, N/2 + 1)), the half-wave path the
+spectra of u_+ and u_-.  One pack/unpack pair (_pack, _unpack) converts
+between such spectra and a FieldState of spectrum-only fields, so a stage
+makes no transform to reach the spectra of its inputs and none to return
+its derivative.  Point values are made only where they are compared: the
+twin difference, the Richardson and resolution studies, and the public
+array_from_state.
+
 Sign convention: the assembled nonlinearities (M, N) reproduce the displayed
 wave equations, whose derivation from D^alpha F_{alpha beta} = 0 under the
 metric diag(-1,1,1) uses the operator d^alpha d_alpha = Delta - d_t^2.  In the
@@ -77,42 +87,64 @@ class DiagnosticsRecord:
 
 # --- packing --------------------------------------------------------------
 
+def _point_values(pairs) -> np.ndarray:
+    """y[c] = (u, u_t) point values per SpacetimePair, (C, 2, dim, N, N)."""
+    return np.stack([np.stack([p.value.values, p.time_deriv.values]) for p in pairs])
+
+
 def array_from_state(state: FieldState) -> np.ndarray:
-    comps = list(state.A) + list(state.F)
-    return np.stack(
-        [np.stack([p.value.values, p.time_deriv.values]) for p in comps]
-    )
-
-
-def _pairs_from_array(spec, grid, y) -> list:
-    """One SpacetimePair per component y[c] = (value, time derivative)."""
-    return [SpacetimePair(GridField(spec, grid, yc[0]), GridField(spec, grid, yc[1]))
-            for yc in y]
+    """Point values of the six components, (6, 2, dim, N, N)."""
+    return _point_values(state.A + state.F)
 
 
 def state_from_array(spec: AlgebraSpec, grid: TorusGrid, y: np.ndarray) -> FieldState:
-    pairs = _pairs_from_array(spec, grid, y)
+    """The FieldState of point values y, as array_from_state lays them out."""
+    pairs = [SpacetimePair(GridField(spec, grid, yc[0]), GridField(spec, grid, yc[1]))
+             for yc in y]
+    return FieldState(tuple(pairs[:3]), tuple(pairs[3:]))
+
+
+def _spectra(pairs) -> np.ndarray:
+    """y[c] = (rhat(u), rhat(u_t)) per SpacetimePair, (C, 2, dim, N, N/2 + 1)."""
+    return np.stack([np.stack([p.value.rhat, p.time_deriv.rhat]) for p in pairs])
+
+
+def _pairs(spec, grid, y) -> list:
+    """One SpacetimePair of spectrum-only fields per component y[c]."""
+    return [SpacetimePair(GridField.from_rhat(spec, grid, yc[0]),
+                          GridField.from_rhat(spec, grid, yc[1])) for yc in y]
+
+
+def _pack(state: FieldState) -> np.ndarray:
+    """The spectra of the six components, the RK4 state."""
+    return _spectra(state.A + state.F)
+
+
+def _unpack(spec, grid, y) -> FieldState:
+    """The FieldState of six components' spectra y (_pack's inverse)."""
+    pairs = _pairs(spec, grid, y)
     return FieldState(tuple(pairs[:3]), tuple(pairs[3:]))
 
 
 def _wave_dy(y, pairs, rhs) -> np.ndarray:
-    """d/dt (u, u_t) = (u_t, Laplace u - RHS) per component; one RHS per
-    component of y, or ValueError."""
+    """d/dt (u, u_t) = (u_t, Laplace u - RHS) per component, on spectra; one
+    RHS per component of y, or ValueError."""
     dy = np.empty_like(y)
     for c, (p, r) in enumerate(zip(pairs, rhs, strict=True)):
         dy[c, 0] = y[c, 1]
-        dy[c, 1] = (p.value.laplacian() - r).values
+        dy[c, 1] = (p.value.laplacian() - r).rhat
     return dy
 
 
 def _second_order_rhs(spec, grid, y) -> np.ndarray:
-    st = state_from_array(spec, grid, y)
+    st = _unpack(spec, grid, y)
     return _wave_dy(y, st.A + st.F, assemble_rhs(st))
 
 
 def _ym4_rhs_array(spec, grid, y) -> np.ndarray:
-    """Reference evolution of A alone by the direct expansion."""
-    A = tuple(_pairs_from_array(spec, grid, y))
+    """Reference evolution of A alone by the direct expansion (spectra of the
+    three potentials)."""
+    A = tuple(_pairs(spec, grid, y))
     return _wave_dy(y, A, ym4_rhs(A))
 
 
@@ -134,8 +166,7 @@ def _step_second_order(spec, grid, y, dt):
 def step_second_order(state: FieldState, dt: float) -> FieldState:
     """One RK4 step of the full system."""
     a0 = state.A[0].value
-    y = _step_second_order(a0.spec, a0.grid, array_from_state(state), dt)
-    return state_from_array(a0.spec, a0.grid, y)
+    return _unpack(a0.spec, a0.grid, _step_second_order(a0.spec, a0.grid, _pack(state), dt))
 
 
 # --- half-wave reduction --------------------------------------------------
@@ -147,27 +178,19 @@ def to_half_wave(state: FieldState) -> np.ndarray:
     u_minus is the complex conjugate of u_plus, so the two half-planes
     (shape (6, 2, dim, N, N/2 + 1)) hold the whole spectrum of u_plus.
     """
-    a0 = state.A[0].value
-    lam = a0.grid.xi_bracket
-    comps = list(state.A) + list(state.F)
-    hw = np.empty((N_COMPONENTS, 2) + a0.rhat.shape, dtype=complex)
-    for c, p in enumerate(comps):
-        uh, vh = p.value.rhat, p.time_deriv.rhat
-        hw[c, 0] = 0.5 * (uh - 1j * vh / lam)
-        hw[c, 1] = 0.5 * (uh + 1j * vh / lam)
+    y = _pack(state)
+    uh, ivh = y[:, 0], 1j * y[:, 1] / state.A[0].value.grid.xi_bracket
+    hw = np.empty_like(y)
+    hw[:, 0] = 0.5 * (uh - ivh)
+    hw[:, 1] = 0.5 * (uh + ivh)
     return hw
 
 
 def from_half_wave(spec, grid, hw: np.ndarray) -> FieldState:
     """Reconstruct (u, u_t) = (u_+ + u_-, i Lambda (u_+ - u_-))."""
     lam = grid.xi_bracket
-    pairs = []
-    for c in range(N_COMPONENTS):
-        uh = hw[c, 0] + hw[c, 1]
-        vh = 1j * lam * (hw[c, 0] - hw[c, 1])
-        pairs.append(SpacetimePair(GridField.from_rhat(spec, grid, uh),
-                                   GridField.from_rhat(spec, grid, vh)))
-    return FieldState(tuple(pairs[:3]), tuple(pairs[3:]))
+    y = np.stack([hw[:, 0] + hw[:, 1], 1j * lam * (hw[:, 0] - hw[:, 1])], axis=1)
+    return _unpack(spec, grid, y)
 
 
 def _half_wave_source(spec, grid, hw: np.ndarray) -> np.ndarray:
@@ -225,7 +248,7 @@ def _stepper(name: str):
     call so that it sees the module's current bindings."""
     half_wave = (to_half_wave, partial(step_half_wave, stepper=name), from_half_wave)
     return {
-        "RK4": (array_from_state, _step_second_order, state_from_array),
+        "RK4": (_pack, _step_second_order, _unpack),
         "ExpEuler": half_wave,
         "ExpRK2": half_wave,
     }[name]
@@ -237,28 +260,32 @@ def evolve_and_monitor(state: FieldState, cfg: EvolveConfig, on_record=None):
 
     Returns a list of DiagnosticsRecord, one at step 0, every
     cfg.monitor_every steps and at the last step; twin_diff is the
-    sup-norm difference of the potential components between the two runs.
-    on_record, if given, is called as on_record(step_index, state) at every
-    monitoring step.
+    sup-norm difference of the point values of the potential components
+    between the two runs.  on_record, if given, is called as
+    on_record(step_index, state) at every monitoring step.  Step 0 records
+    the state the stepper starts from, view(pack(state)), and the twin starts
+    from its potentials, so that its twin_diff is exactly 0.
     """
     a0 = state.A[0].value
     spec, grid = a0.spec, a0.grid
     pack, step, view = _stepper(cfg.stepper)
     y = pack(state)
-    y_ref = array_from_state(state)[:3]
+    start = view(spec, grid, y)
+    y_ref = _spectra(start.A)
     steps = int(round(cfg.t_end / cfg.dt))
     records = []
 
     def record(j, st):
         lorenz, gauss, compat = constraint_residuals(st)
-        twin = float(np.max(np.abs(array_from_state(st)[:3] - y_ref)))
+        ref = _point_values(_pairs(spec, grid, y_ref))
+        twin = float(np.max(np.abs(_point_values(st.A) - ref)))
         records.append(
             DiagnosticsRecord(j * cfg.dt, energy(st), lorenz, gauss, compat, twin)
         )
         if on_record is not None:
             on_record(j, st)
 
-    record(0, state)
+    record(0, start)
     for j in range(steps):
         y = step(spec, grid, y, cfg.dt)
         y_ref = _rk4(lambda z: _ym4_rhs_array(spec, grid, z), y_ref, cfg.dt)
@@ -398,10 +425,10 @@ def temporal_order(spec, grid, state: FieldState, dt: float, t_end: float) -> fl
     """Observed RK4 order from a Richardson triple (dt, dt/2, dt/4)."""
     sols = []
     for d in (dt, dt / 2.0, dt / 4.0):
-        y = array_from_state(state)
+        y = _pack(state)
         for _ in range(int(round(t_end / d))):
             y = _step_second_order(spec, grid, y, d)
-        sols.append(y)
+        sols.append(array_from_state(_unpack(spec, grid, y)))
     e1 = float(np.max(np.abs(sols[0] - sols[1])))
     e2 = float(np.max(np.abs(sols[1] - sols[2])))
     if e2 == 0.0:
@@ -419,10 +446,10 @@ def spatial_errors(spec, seed: float, scale: float, grids, dt: float, t_end: flo
     for N in grids:
         grid = TorusGrid(N)
         a, a_dot = analytic_potential(spec, grid, seed, scale)
-        y = array_from_state(state_from_potential(a, a_dot))
+        y = _pack(state_from_potential(a, a_dot))
         for _ in range(int(round(t_end / dt))):
             y = _step_second_order(spec, grid, y, dt)
-        sols[N] = y
+        sols[N] = array_from_state(_unpack(spec, grid, y))
     finest = max(grids)
     errs = []
     for N in grids:

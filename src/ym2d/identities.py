@@ -48,19 +48,23 @@ def _phi(spec, seed, scale, modes):
 
 class SeedInputs(NamedTuple):
     """The fields every check of one seed reads: a Lorenz-compatible state
-    and an independent test field phi."""
+    (its F slots are the curvature F[A] of its potential), an independent
+    test field phi and the direct expansion ym4_rhs of the potential."""
 
     state: FieldState
     phi: SpacetimePair
+    ym4: tuple
 
 
 def seed_inputs(
     spec: AlgebraSpec, seed: int, scale: float = DEFAULT_SCALE, modes: int = DEFAULT_MODES
 ) -> SeedInputs:
     """Build the inputs of one seed; the checks only read them."""
+    state = _lorenz_state(spec, seed, scale, modes)
     return SeedInputs(
-        _lorenz_state(spec, seed, scale, modes),
+        state,
         SpacetimePair.from_planewave(_phi(spec, seed, scale, modes)),
+        ym4_rhs(state.A),
     )
 
 
@@ -85,7 +89,7 @@ def check_null0(inputs: SeedInputs) -> float:
     """[A^a, d_a phi] = calligraphic_q(Lambda^{-1}A, phi)
     + [Lambda^{-2}A^a, d_a phi] in Lorenz gauge, as sum_a [K_a(A), d_a phi]
     on the factors K_a(A) that assemble_rhs brackets."""
-    st, phi = inputs
+    st, phi = inputs.state, inputs.phi
     lhs = _raised_bracket_sum(st.A, phi)
     rhs = _sum([k.bracket(phi.deriv(al)) for al, k in enumerate(_k_factors(st.A))])
     return (lhs - rhs).norm()
@@ -93,7 +97,7 @@ def check_null0(inputs: SeedInputs) -> float:
 
 def check_null1(inputs: SeedInputs) -> float:
     """[d_t A^a, d_a phi] = sum_i Q_{0i}[A_i, phi] in Lorenz gauge."""
-    st, phi = inputs
+    st, phi = inputs.state, inputs.phi
     lhs = _raised_bracket_sum(st.A, phi, deriv_of_A=True)
     rhs = null_form("Q01", st.A[1], phi) + null_form("Q02", st.A[2], phi)
     return (lhs - rhs).norm()
@@ -112,7 +116,7 @@ def check_null2(inputs: SeedInputs) -> float:
     """Ordered product version:
     A^a d_a phi = -Q12(w, phi) + Q_{i0}(Lambda^{-1}R^i A_0, phi)
                   + Lambda^{-2}A^a d_a phi."""
-    st, phi = inputs
+    st, phi = inputs.state, inputs.phi
 
     def prod_sum(A):
         return _raised_sum([p.value @ phi.deriv(al) for al, p in enumerate(A)])
@@ -136,7 +140,7 @@ def check_null3(inputs: SeedInputs) -> float:
     signs on both null-form terms compared to the ordered version with A on
     the left; only this sign choice makes the identity exact, and it is the
     one consistent with the combined commutator decomposition.)"""
-    st, phi = inputs
+    st, phi = inputs.state, inputs.phi
 
     def prod_sum(A):
         return _raised_sum([phi.deriv(al) @ p.value for al, p in enumerate(A)])
@@ -166,10 +170,9 @@ def check_af_equivalence(inputs: SeedInputs) -> float:
     """Assembled (M, N) equal the direct wave-equation right sides."""
     st = inputs.state
     m0, m1, m2, n01, n02, n12 = assemble_rhs(st)
-    y = ym4_rhs(st.A)
     z = ymf2_rhs(st)
     worst = 0.0
-    for lhs, rhs in zip((m0, m1, m2, n01, n02, n12), (*y, *z)):
+    for lhs, rhs in zip((m0, m1, m2, n01, n02, n12), (*inputs.ym4, *z)):
         worst = max(worst, (lhs - rhs).norm())
     return worst
 
@@ -182,7 +185,7 @@ def check_scaling_covariance(inputs: SeedInputs) -> float:
         return u.dt().dt() - u.dx(1).dx(1) - u.dx(2).dx(2)
 
     st = inputs.state
-    residual = [box(p.value) - r for p, r in zip(st.A, ym4_rhs(st.A))]
+    residual = [box(p.value) - r for p, r in zip(st.A, inputs.ym4)]
     worst = 0.0
     for lam in (2.0, 0.5):
         A_lam = tuple(
@@ -197,12 +200,13 @@ def check_scaling_covariance(inputs: SeedInputs) -> float:
 
 
 def check_data_consistency(inputs: SeedInputs) -> float:
-    """Curvature data construction agrees with F[A] at t = 0."""
+    """Curvature data construction agrees with F[A] at t = 0 (the state's F
+    slots)."""
     st = inputs.state
     a = tuple(p.value for p in st.A)
     a_dot = tuple(p.time_deriv for p in st.A)
     f01, f02, f12, *_ = data_from_potential(a, a_dot)
-    fc = curvature(st.A)
+    fc = tuple(p.value for p in st.F)
     return max(
         (f01 - fc[0]).norm(),
         (f02 - fc[1]).norm(),

@@ -95,10 +95,10 @@ def null_form(kind: str, u: SpacetimePair, v: SpacetimePair, commutator: bool = 
     if kind.startswith("q"):
         return null_form("Q" + kind[1:], u.d_pow(-1.0), v.d_pow(-1.0), commutator)
     if kind == "Q0":
-        out = -1.0 * _product(u.deriv(0), v.deriv(0), commutator)
-        for i in (1, 2):
-            out = out + _product(u.deriv(i), v.deriv(i), commutator)
-        return out
+        # made as (d_1 u d_1 v - d_t u d_t v) + d_2 u d_2 v, exactly the sum
+        # above without the copy a scalar multiple makes
+        p0, p1, p2 = (_product(u.deriv(a), v.deriv(a), commutator) for a in range(3))
+        return p1 - p0 + p2
     pairs = {"Q01": (0, 1), "Q02": (0, 2), "Q12": (1, 2)}
     a, b = pairs[kind]
     return _q_alpha_beta(u, v, a, b, commutator)
@@ -107,11 +107,12 @@ def null_form(kind: str, u: SpacetimePair, v: SpacetimePair, commutator: bool = 
 def calligraphic_q_factors(u0: SpacetimePair, u1: SpacetimePair, u2: SpacetimePair):
     """(L0, L1, L2) with calligraphic_q(u0, u1, u2, v) = sum_alpha L_alpha d_alpha v
     by bilinearity alone: with w = R1 u2 - R2 u1 and r_i = R_i u0,
-    L0 = d_1 r_1 + d_2 r_2, L1 = d_2 w - d_t r_1, L2 = -d_1 w - d_t r_2."""
-    w = u2.value.riesz(1) - u1.value.riesz(2)
+    L0 = d_1 r_1 + d_2 r_2, L1 = d_2 w - d_t r_1, L2 = -d_1 w - d_t r_2, the
+    last made as d_1(-w) - d_t r_2, with -w = R2 u1 - R1 u2 exactly."""
+    r1u2, r2u1 = u2.value.riesz(1), u1.value.riesz(2)
     r1, r2 = u0.riesz(1), u0.riesz(2)
-    return (r1.deriv(1) + r2.deriv(2), w.dx(2) - r1.deriv(0),
-            -1.0 * w.dx(1) - r2.deriv(0))
+    return (r1.deriv(1) + r2.deriv(2), (r1u2 - r2u1).dx(2) - r1.deriv(0),
+            (r2u1 - r1u2).dx(1) - r2.deriv(0))
 
 
 def calligraphic_q(u0: SpacetimePair, u1: SpacetimePair, u2: SpacetimePair,
@@ -133,13 +134,12 @@ def calligraphic_q(u0: SpacetimePair, u1: SpacetimePair, u2: SpacetimePair,
 
 def gamma1(u: SpacetimePair, v: SpacetimePair, commutator: bool = True):
     """Gamma^1(u,v) = -uv + sum_j Lambda^{-1}R_j(d_t u) Lambda^{-1}R^j(d_t v)."""
-    out = -1.0 * _product(u.value, v.value, commutator)
+    uv = _product(u.value, v.value, commutator)
     ut, vt = u.deriv(0), v.deriv(0)
-    for j in (1, 2):
-        out = out + _product(
-            ut.lambda_pow(-1.0).riesz(j), vt.lambda_pow(-1.0).riesz(j), commutator
-        )
-    return out
+    p1, p2 = (_product(ut.lambda_pow(-1.0).riesz(j), vt.lambda_pow(-1.0).riesz(j),
+                       commutator) for j in (1, 2))
+    # exactly -uv + p1 + p2, without the copy a scalar multiple makes
+    return p1 - uv + p2
 
 
 # --- scalar symbols -------------------------------------------------------

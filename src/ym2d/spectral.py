@@ -12,12 +12,16 @@ by one transform when it is first asked for.  A third representation, raw,
 holds the untruncated point values of a product or of a sum of products and
 stands for their 2/3-rule truncation (spectrum by one masked forward
 transform on first use, values from that spectrum).  Multipliers act on the
-spectrum alone, so a chain of them costs no transform.  Columns 0 and N/2 of
-the half-plane are their own mirror images; there every symbol is replaced
-by its part that maps real fields to real fields, (m(k) + conj m(-k))/2, so
-a multiplied spectrum is again the spectrum of a real field (odd symbols
-vanish at the Nyquist frequencies), exactly as if each multiplier were
-followed by an inverse and a forward real transform.
+spectrum alone, so a chain of them costs no transform, and they compose: a
+multiplier (the dealiasing mask too) applied to a field whose spectrum is not
+made yet multiplies symbols, not spectra.  Such a field holds the spectrum it
+descends from and one composed symbol lattice (cached on the grid), and its
+own spectrum is one multiply, made on first use.  Columns 0 and N/2 of the
+half-plane are their own mirror images; there every symbol is replaced by its
+part that maps real fields to real fields, (m(k) + conj m(-k))/2, so a
+multiplied spectrum is again the spectrum of a real field (odd symbols vanish
+at the Nyquist frequencies), exactly as if each multiplier were followed by
+an inverse and a forward real transform.
 
 A dealiased product brackets its factors' 2/3-rule truncated values (made
 once per field by one inverse transform, the factor's memoized dealias())
@@ -124,8 +128,24 @@ class TorusGrid:
         if "dealias" not in self._cache:
             k = np.fft.fftfreq(self.N, d=1.0 / self.N)
             keep = np.abs(k) < self.N / 3.0
-            self._cache["dealias"] = np.outer(keep, keep[: self.N // 2 + 1])
+            mask = np.outer(keep, keep[: self.N // 2 + 1])
+            mask.flags.writeable = False
+            self._cache["dealias"] = mask
         return self._cache["dealias"]
+
+    def chain_array(self, chain: tuple) -> np.ndarray:
+        """Composed symbol lattice of a chain of multipliers, given by their
+        name keys (kind, param) in the order they act; kind "dealias" is the
+        2/3-rule mask.  Cached and read-only, like the single lattices."""
+        m = self._cache.get(chain)
+        if m is None:
+            for kind, param in chain:
+                link = (self.dealias_mask if kind == "dealias"
+                        else self.multiplier_array(kind, param))
+                m = link if m is None else m * link
+            m.flags.writeable = False
+            self._cache[chain] = m
+        return m
 
     def multiplier_array(self, kind: str, param=None) -> np.ndarray:
         """Scalar symbol lattice of a named multiplier (see GridField)."""
@@ -180,17 +200,23 @@ class GridField:
     derived fields (multiplier outputs, +, - and scalar *) are built by
     _derived, without one.
 
-    Multipliers (dx, riesz, lambda_pow, ...) multiply rhat by a symbol
-    lattice and return a spectrum-only field, memoized per field and symbol
-    (the memo holds only results, so it makes no reference cycle).  +, - and
-    scalar * act on raw when both operands carry it; otherwise on every
-    other representation both operands have, and on rhat when they share
-    none.  Raw fields and multipliers of truncated fields are truncated (their
-    spectrum vanishes outside the 2/3-rule mask), so their values need no
-    further truncation.
+    Multipliers (dx, riesz, lambda_pow, ..., and dealias) return a field
+    whose spectrum is rhat times the symbol lattice, memoized per field and
+    symbol name key (kind, param).  Until that spectrum is made, the output
+    holds only the spectrum it descends from (root) and the name keys of the
+    chain of symbols applied to it (chain, its lattice cached on the grid), so
+    a further multiplier extends the chain and a chain of them costs one
+    spectrum multiply, made on first use.  A derived field refers to arrays
+    only, never to the field it came from, so the memo makes no reference
+    cycle.  +, - and scalar * act on raw when both operands carry it;
+    otherwise on every other representation both operands have, and on rhat
+    when they share none.  Raw fields and multipliers of truncated fields are
+    truncated (their spectrum vanishes outside the 2/3-rule mask), so their
+    values need no further truncation.
     """
 
-    __slots__ = ("spec", "grid", "_values", "_rhat", "_raw", "_truncated", "_mcache")
+    __slots__ = ("spec", "grid", "_values", "_rhat", "_raw", "_root", "_chain",
+                 "_truncated", "_mcache")
 
     def __init__(self, spec: AlgebraSpec, grid: TorusGrid, values=None, rhat=None,
                  truncated: bool = False, raw=None):
@@ -209,19 +235,22 @@ class GridField:
             raise ValueError("a grid field needs values, rhat or raw")
         self._store(spec, grid, values, rhat, raw, truncated)
 
-    def _derived(self, values=None, rhat=None, truncated=False, raw=None):
+    def _derived(self, values=None, rhat=None, truncated=False, raw=None,
+                 root=None, chain=None):
         """A field computed from checked fields: stored without a finiteness check."""
         out = GridField.__new__(GridField)
-        return out._store(self.spec, self.grid, values, rhat, raw, truncated)
+        return out._store(self.spec, self.grid, values, rhat, raw, truncated, root, chain)
 
-    def _store(self, spec, grid, values, rhat, raw, truncated):
+    def _store(self, spec, grid, values, rhat, raw, truncated, root=None, chain=None):
         # each array is the field's own (a caller's view is copied) and becomes
-        # read-only: a field cannot change after its check, nor its forms disagree
+        # read-only: a field cannot change after its check, nor its forms
+        # disagree; a root is another field's spectrum, read-only already
         for a in (values, rhat, raw):
             if a is not None:
                 a.flags.writeable = False
         self.spec, self.grid, self._mcache = spec, grid, {}
         self._values, self._rhat, self._raw = values, rhat, raw
+        self._root, self._chain = root, chain
         self._truncated = truncated or raw is not None
         return self
 
@@ -250,7 +279,10 @@ class GridField:
     def rhat(self):
         """Mean-normalized half-plane coefficients (rfft2 / N^2), read-only."""
         if self._rhat is None:
-            if self._raw is None:
+            if self._root is not None:
+                rhat = self._root * self.grid.chain_array(self._chain)
+                self._root = self._chain = None
+            elif self._raw is None:
                 rhat = np.fft.rfft2(self._values, axes=(-2, -1), norm="forward")
             else:
                 rhat = np.fft.rfft2(self._raw, axes=(-2, -1), norm="forward")
@@ -283,7 +315,8 @@ class GridField:
         if self._raw is not None:
             return self._derived(raw=self._raw * s)
         values = None if self._values is None else self._values * s
-        rhat = None if self._rhat is None else self._rhat * s
+        # a multiplier output whose spectrum is not made yet scales its rhat
+        rhat = None if self._rhat is None and values is not None else self.rhat * s
         return self._derived(values, rhat, self._truncated)
 
     __rmul__ = __mul__
@@ -298,39 +331,43 @@ class GridField:
             raise ValueError("algebra mismatch")
 
     # --- multiplier calculus ---------------------------------------------
-    def _apply_symbol(self, m, truncates=False):
-        # memoize by symbol-array identity: the grid caches its multiplier
-        # lattices, so repeated applications of the same operator to one
-        # immutable field cost a dict lookup
-        key = id(m)
+    def _apply_symbol(self, kind, param=None, truncates=False):
+        # memoized by name key: repeated applications of the same operator to
+        # one immutable field cost a dict lookup
+        key = (kind, param)
         out = self._mcache.get(key)
         if out is None:
-            out = self._derived(rhat=self.rhat * m, truncated=truncates or self._truncated)
+            if self._root is not None:  # no spectrum made yet: compose symbols
+                root, chain = self._root, self._chain + (key,)
+            else:
+                root, chain = self.rhat, (key,)
+            out = self._derived(truncated=truncates or self._truncated,
+                                root=root, chain=chain)
             self._mcache[key] = out
         return out
 
     def dx(self, i: int):
-        return self._apply_symbol(self.grid.multiplier_array("derivative", i))
+        return self._apply_symbol("derivative", i)
 
     def lambda_pow(self, s: float):
-        return self._apply_symbol(self.grid.multiplier_array("lambda_pow", s))
+        return self._apply_symbol("lambda_pow", s)
 
     def d_pow(self, a: float):
-        return self._apply_symbol(self.grid.multiplier_array("d_pow", a))
+        return self._apply_symbol("d_pow", a)
 
     def riesz(self, i: int):
-        return self._apply_symbol(self.grid.multiplier_array("riesz", i))
+        return self._apply_symbol("riesz", i)
 
     def inv_laplacian(self):
-        return self._apply_symbol(self.grid.multiplier_array("inv_laplacian"))
+        return self._apply_symbol("inv_laplacian")
 
     def laplacian(self):
-        return self._apply_symbol(self.grid.multiplier_array("laplacian"))
+        return self._apply_symbol("laplacian")
 
     def dealias(self):
         if self._truncated:
             return self
-        return self._apply_symbol(self.grid.dealias_mask, truncates=True)
+        return self._apply_symbol("dealias", truncates=True)
 
     def bracket(self, other):
         """Dealiased pointwise commutator [u, v]."""

@@ -50,10 +50,15 @@ class FieldState:
         """F_{beta gamma} with antisymmetry; F_{bb} = 0."""
         if beta == gamma:
             return 0.0 * self.A[0]
-        table = {(0, 1): self.F[0], (0, 2): self.F[1], (1, 2): self.F[2]}
-        if (beta, gamma) in table:
-            return table[(beta, gamma)]
-        return -1.0 * table[(gamma, beta)]
+        sign, slot = self.f_slot(beta, gamma)
+        return slot if sign > 0 else -1.0 * slot
+
+    def f_slot(self, beta: int, gamma: int) -> tuple:
+        """(sign, slot) with F_{beta gamma} = sign * slot for beta != gamma:
+        slot is the entry of F holding F_{min max}, so that a caller can carry
+        the sign of a swapped pair instead of negating a field."""
+        lo, hi = sorted((beta, gamma))
+        return (1.0 if beta < gamma else -1.0), self.F[lo + hi - 1]
 
 
 # --- curvature, data, constraints, energy ---------------------------------
@@ -195,8 +200,26 @@ def _sum(terms):
 
 
 def _raised_sum(terms):
-    """sum_alpha METRIC_SIGN[alpha] * terms[alpha]."""
-    return _sum([sign * t for sign, t in zip(METRIC_SIGN, terms)])
+    """sum_alpha METRIC_SIGN[alpha] * terms[alpha], made as t_1 - t_0 + t_2:
+    exactly -t_0 + t_1 + t_2, without the copy a scalar multiple makes."""
+    t0, t1, t2 = terms
+    return t1 - t0 + t2
+
+
+def _signed_sum(terms):
+    """(sign, total) with sign * total the left-to-right sum of the
+    (sign, field) pairs terms, signs +-1, made by + and - alone.  Negation is
+    exact and rounding symmetric, so sign * total is bit-identical to the sum
+    of the scaled terms, without the copy each scalar multiple makes."""
+    sign, out = terms[0]
+    for s, t in terms[1:]:
+        out = out + t if s == sign else out - t
+    return sign, out
+
+
+def _add_signed(x, sign, y):
+    """x + sign * y for sign +-1, by + or -."""
+    return x + y if sign > 0 else x - y
 
 
 def ym4_rhs(A: tuple) -> tuple:
@@ -205,18 +228,15 @@ def ym4_rhs(A: tuple) -> tuple:
     - [A^alpha, [A_alpha, A_beta]], the last without its zero alpha = beta
     term and with each [A_alpha, A_beta], alpha < beta, made once."""
     values = tuple(p.value for p in A)
-    inner = {(al, be): _br(values[al], values[be]) for al, be in ((0, 1), (0, 2), (1, 2))}
+    aa = _potential_brackets(values)
     out = []
     for beta in range(3):
         ab = A[beta]
         t1 = _raised_sum([_br(values[al], ab.deriv(al)) for al in range(3)])
         t2 = _raised_sum([_br(values[al], A[al].deriv(beta)) for al in range(3)])
-        t3 = _sum([
-            METRIC_SIGN[al] * (1.0 if al < beta else -1.0)
-            * _br(values[al], inner[min(al, beta), max(al, beta)])
-            for al in range(3) if al != beta
-        ])
-        out.append(-2.0 * t1 + t2 - t3)
+        sign, t3 = _double_bracket(
+            values, {al: aa[al, beta] for al in range(3) if al != beta})
+        out.append(_add_signed(-2.0 * t1 + t2, -sign, t3))
     return tuple(out)
 
 
@@ -276,8 +296,8 @@ def gamma_terms(state: FieldState, beta: int, a12) -> tuple:
     du = A[1].deriv(beta).riesz(1) + A[2].deriv(beta).riesz(2)
     G = A[2].value.dx(1) - A[1].value.dx(2)
     dG = A[2].deriv(beta).dx(1) - A[1].deriv(beta).dx(2)
-    g2 = -1.0 * _q12_slices(u.lambda_pow(-1.0), dG.lambda_pow(-2.0)) + _q12_slices(
-        du.lambda_pow(-1.0), G.lambda_pow(-2.0)
+    g2 = _q12_slices(du.lambda_pow(-1.0), G.lambda_pow(-2.0)) - _q12_slices(
+        u.lambda_pow(-1.0), dG.lambda_pow(-2.0)
     )
 
     # Gamma^3: smooth bilinear pieces through F12 = G + [A1, A2]
@@ -313,7 +333,8 @@ def _k_factors(us):
     (L of calligraphic_q_factors) for pairs us = (U_0, U_1, U_2), so that
     Q(Lambda^{-1}U, v) + [Lambda^{-2}U^alpha, d_alpha v] = [K_alpha(U), d_alpha v]."""
     ls = calligraphic_q_factors(*(p.lambda_pow(-1.0) for p in us))
-    return tuple(l + s * p.value.lambda_pow(-2.0) for l, s, p in zip(ls, METRIC_SIGN, us))
+    return tuple(_add_signed(l, s, p.value.lambda_pow(-2.0))
+                 for l, s, p in zip(ls, METRIC_SIGN, us))
 
 
 def _k_bracket(k, target: SpacetimePair):
@@ -323,10 +344,12 @@ def _k_bracket(k, target: SpacetimePair):
 
 
 def _double_bracket(us, inner: dict):
-    """[u^alpha, [u_alpha, x]] for plain fields us = (u_0, u_1, u_2), given
-    inner[alpha] = (sign, b) with [u_alpha, x] = sign * b; an alpha left out
-    of inner adds nothing (u_alpha = x, and [x, x] = 0)."""
-    return _sum([METRIC_SIGN[al] * s * _br(us[al], b) for al, (s, b) in inner.items()])
+    """[u^alpha, [u_alpha, x]] for plain fields us = (u_0, u_1, u_2) as
+    (sign, total) of _signed_sum, given inner[alpha] = (sign, b) with
+    [u_alpha, x] = sign * b; an alpha left out of inner adds nothing
+    (u_alpha = x, and [x, x] = 0)."""
+    return _signed_sum([(METRIC_SIGN[al] * s, _br(us[al], b))
+                        for al, (s, b) in inner.items()])
 
 
 def _potential_brackets(values) -> dict:
@@ -361,9 +384,9 @@ def assemble_rhs(state: FieldState) -> tuple:
         m = _k_bracket(ks[0], A[beta])
         for g in gamma_terms(state, beta, aa[1, 2][1]):
             m = m + g
-        m = m - _double_bracket(
+        sign, db = _double_bracket(
             values, {al: aa[al, beta] for al in range(3) if al != beta})
-        M.append(m)
+        M.append(_add_signed(m, -sign, db))
     return (*M, *(_n(state, aa, ks, b, g) for b, g in ((0, 1), (0, 2), (1, 2))))
 
 
@@ -381,27 +404,36 @@ def _n(state: FieldState, aa: dict, ks: tuple, beta: int, gamma: int):
     f = state.f(beta, gamma)
     ab, ag = A[beta], A[gamma]
     out = _k_bracket(ks[0], f) - _k_bracket(ks[gamma], ab)
+    # sum_alpha eta^{alpha alpha} Q_{beta gamma}[A_alpha, A_alpha], each a
+    # single bracket: Q_{bg}[u, u] = 2[d_b u, d_g u]
+    self_signs = METRIC_SIGN
     if beta == 0:
-        for j in (1, 2):
-            out = out - 2.0 * null_form(f"Q0{j}", A[j], ag)
+        # the form j = gamma is Q_{0g}[A_g, A_g] = 2[d_0 A_g, d_g A_g]: with
+        # its factor -2 it turns the self term alpha = gamma from +1 to -1
+        (j,) = {1, 2} - {gamma}
+        out = out - 2.0 * null_form(f"Q0{j}", A[j], ag)
+        self_signs = tuple(-1.0 if al == gamma else s for al, s in enumerate(METRIC_SIGN))
     else:
         out = out + _k_bracket(ks[beta], ag)
     out = out + 2.0 * null_form("Q0", ab, ag)
-    # sum_alpha eta^{alpha alpha} Q_{beta gamma}[A_alpha, A_alpha], each a
-    # single bracket: Q_{bg}[u, u] = 2[d_b u, d_g u]
-    out = out + 2.0 * _raised_sum([_br(p.deriv(beta), p.deriv(gamma)) for p in A])
-    out = out - _double_bracket(
+    sign, selfs = _signed_sum([(s, _br(p.deriv(beta), p.deriv(gamma)))
+                               for s, p in zip(self_signs, A)])
+    out = out + (2.0 * sign) * selfs
+    sign, db = _double_bracket(
         values, {al: (1.0, _br(u, f.value)) for al, u in enumerate(values)})
+    out = _add_signed(out, -sign, db)
     # the sums over alpha of 2[F_{alpha beta}, [A^alpha, A_gamma]],
     # -2[F_{alpha gamma}, [A^alpha, A_beta]] and
     # -2[[A^alpha, A_beta], [A_alpha, A_gamma]] keep only the alpha distinct
     # from beta and gamma (F_{beta beta} = 0 and [A_alpha, A_alpha] = 0), and
-    # take [A_alpha, A_beta] = sb * ub and [A_alpha, A_gamma] = sg * ug from aa
+    # take [A_alpha, A_beta] = sb * ub and [A_alpha, A_gamma] = sg * ug from aa,
+    # F_{alpha beta} = fb * Fb and F_{alpha gamma} = fg * Fg from state.F
     (al,) = {0, 1, 2} - {beta, gamma}
     (sb, ub), (sg, ug) = aa[al, beta], aa[al, gamma]
-    return out + 2.0 * METRIC_SIGN[al] * (
-        sg * _br(state.f(al, beta).value, ug) - sb * _br(state.f(al, gamma).value, ub)
-        - sb * sg * _br(ub, ug))
+    (fb, Fb), (fg, Fg) = state.f_slot(al, beta), state.f_slot(al, gamma)
+    sign, t = _signed_sum([(sg * fb, _br(Fb.value, ug)), (-sb * fg, _br(Fg.value, ub)),
+                           (-sb * sg, _br(ub, ug))])
+    return out + (2.0 * METRIC_SIGN[al] * sign) * t
 
 
 # --- Gauss-law projection -------------------------------------------------

@@ -8,7 +8,10 @@ from ym2d.algebra import su
 from ym2d.evolve import (
     EvolveConfig,
     _hw_norm,
+    _pack,
+    _rk4,
     _second_order_rhs,
+    _unpack,
     _ym4_rhs_array,
     analytic_potential,
     array_from_state,
@@ -23,7 +26,7 @@ from ym2d.evolve import (
     to_half_wave,
 )
 from ym2d.identities import _lorenz_state
-from ym2d.spectral import TorusGrid, discrete_norm
+from ym2d.spectral import GridField, TorusGrid, discrete_norm
 from ym2d.ym import assemble_rhs, project_gauss_data, state_from_potential, ym4_rhs
 
 SPEC = su(2)
@@ -177,7 +180,7 @@ def test_picard_source_count(monkeypatch):
 def test_ym4_rhs_array_rejects_a_full_state():
     # the twin answers the three potentials only; given all six components
     # it would leave the F slots of its output unset
-    y = array_from_state(_state(seed=3, N=16))
+    y = _pack(_state(seed=3, N=16))
     with pytest.raises(ValueError):
         _ym4_rhs_array(SPEC, TorusGrid(16), y)
     assert _ym4_rhs_array(SPEC, TorusGrid(16), y[:3]).shape == y[:3].shape
@@ -249,30 +252,38 @@ def test_every_stepper_runs_through_the_monitored_driver():
     assert last_twin["ExpRK2"] < last_twin["ExpEuler"]
 
 
-# one assemble_rhs at su(2), N = 16 from values-only fields (the RK4 path):
-# 26 rfft2 (one per sum of products whose spectrum is needed, one per state
-# field with a multiplier), 106 irfft2 (one per distinct product factor; a
-# swapped bracket [A_b, A_a] is the factor [A_a, A_b] with its sign carried
-# to the product, so it is not transformed again, and the factors
-# K_alpha(U), U in {A, d_1 A, d_2 A}, are made once and shared),
-# 133 dealiased products (each null-form + smoother pair is the three
-# brackets [K_alpha(U), d_alpha target], 9 before), of which 4 repeat an
-# unordered factor pair already bracketed: [d_0 A_g, d_g A_g] in N_0g, made
-# by Q_0g[A_g, A_g] and the self null forms,
-# and 133 finiteness checks, one per raw product: multiplier outputs, sums and
-# scalar multiples of checked fields are not checked again (one check per
-# field built made 827).
+# one assemble_rhs at su(2), N = 16 from spectrum-only fields (the RK4 path):
+# 13 rfft2 (one per sum of products whose spectrum is needed), 103 irfft2 (one
+# per distinct product factor; a swapped bracket [A_b, A_a] or a swapped
+# curvature slot F_{ab} is the factor with its sign carried to the product, so
+# it is not transformed again, and the factors K_alpha(U), U in {A, d_1 A,
+# d_2 A}, are made once and shared), 129 dealiased products (each null-form +
+# smoother pair is the three brackets [K_alpha(U), d_alpha target]; in N_0g the
+# form Q_0g[A_g, A_g] joins the self null forms as one bracket, so no unordered
+# factor pair is bracketed twice), 129 finiteness checks, one per raw product
+# (multiplier outputs, sums and scalar multiples of checked fields are not
+# checked again), and 21 scalar multiples, none of them by +-1 (a sign goes to
+# + or -, or to a factor's product).
 # One ym4_rhs makes 27 brackets: each [A_a, A_b], a < b, once (3) and 8 per
 # beta, the double bracket without its zero alpha = beta term.
-RHS_TRANSFORMS = {"rfft2": 26, "irfft2": 106}
-RHS_PRODUCTS = 133
-RHS_REPEATED_PRODUCTS = 4
-RHS_FINITENESS_CHECKS = 133
+# One RK4 stage (_second_order_rhs and the twin's _ym4_rhs_array) makes 143
+# transforms: 25 rfft2 (one per sum of products whose spectrum is needed, 9
+# of them for Laplace u - RHS) and 118 irfft2, all for product factors; 174
+# when the stage carried point values.  A _second_order_rhs makes 152 spectrum
+# multiplies, one per multiplier chain whose spectrum is needed (254 when each
+# multiplier multiplied a spectrum).
+RHS_TRANSFORMS = {"rfft2": 13, "irfft2": 103}
+RHS_PRODUCTS = 129
+RHS_REPEATED_PRODUCTS = 0
+RHS_FINITENESS_CHECKS = 129
+RHS_SCALAR_MULTIPLES = 21
 YM4_PRODUCTS = 27
+RK4_STAGE_TRANSFORMS = 143
+RHS_SPECTRUM_MULTIPLIES = 152
 
 
 def _rhs_state():
-    return state_from_array(SPEC, TorusGrid(16), array_from_state(_state(seed=3, N=16)))
+    return _unpack(SPEC, TorusGrid(16), _pack(_state(seed=3, N=16)))
 
 
 def _count_rhs_calls(monkeypatch, owner, names, state, rhs=assemble_rhs):
@@ -326,6 +337,54 @@ def test_assemble_rhs_finiteness_check_count(monkeypatch):
     assert 0 < calls["_check_lattice"] <= RHS_FINITENESS_CHECKS
 
 
+def test_assemble_rhs_scalar_multiple_count(monkeypatch):
+    calls = _count_rhs_calls(monkeypatch, GridField, ["__mul__", "__rmul__"], _rhs_state())
+    assert 0 < sum(calls.values()) <= RHS_SCALAR_MULTIPLES
+
+
+def test_rk4_stage_transform_count(monkeypatch):
+    grid = TorusGrid(16)
+    y = _pack(_state(seed=3, N=16))
+
+    def stage(_):
+        _second_order_rhs(SPEC, grid, y)
+        _ym4_rhs_array(SPEC, grid, y[:3])
+
+    calls = _count_rhs_calls(monkeypatch, np.fft, ["rfft2", "irfft2"], None, stage)
+    assert 0 < sum(calls.values()) <= RK4_STAGE_TRANSFORMS
+
+
+def test_second_order_rhs_spectrum_multiply_count(monkeypatch):
+    # a field's spectrum is root * chain_array(chain), made once on first use,
+    # so each chain_array call is one spectrum multiply
+    grid, y = TorusGrid(16), _pack(_state(seed=3, N=16))
+    calls = _count_rhs_calls(monkeypatch, TorusGrid, ["chain_array"], None,
+                             lambda _: _second_order_rhs(SPEC, grid, y))
+    assert 0 < calls["chain_array"] <= RHS_SPECTRUM_MULTIPLIES
+
+
+def _values_rk4_rhs(spec, grid, y):
+    """The RK4 right-hand side on point values, as the values-carrying RK4
+    path made it: the reference for the path on spectra."""
+    st = state_from_array(spec, grid, y)
+    dy = np.empty_like(y)
+    for c, (p, r) in enumerate(zip(st.A + st.F, assemble_rhs(st), strict=True)):
+        dy[c, 0] = y[c, 1]
+        dy[c, 1] = (p.value.laplacian() - r).values
+    return dy
+
+
+def test_rk4_on_spectra_matches_the_values_path():
+    grid, dt = TorusGrid(16), 1e-2
+    st = _state(seed=2, N=16, scale=1e-1)
+    y = array_from_state(st)
+    for _ in range(10):
+        st = step_second_order(st, dt)
+        y = _rk4(lambda z: _values_rk4_rhs(SPEC, grid, z), y, dt)
+    got = array_from_state(st)
+    assert np.max(np.abs(got - y)) <= 1e-14 * np.max(np.abs(y))
+
+
 def test_assemble_rhs_brackets_no_field_with_itself(monkeypatch):
     pairs = _rhs_products(monkeypatch)
     assert pairs and not any(u is v for u, v in pairs)
@@ -347,12 +406,19 @@ def test_plane_wave_and_grid_rhs_make_the_same_products(monkeypatch):
 
 
 def test_rhs_makes_no_reference_cycles():
-    y = array_from_state(_state(seed=4, N=16))
+    y = _pack(_state(seed=4, N=16))
     grid = TorusGrid(16)
     gc.collect()
     gc.disable()
     try:
         _second_order_rhs(SPEC, grid, y)
+        _ym4_rhs_array(SPEC, grid, y[:3])
+        # a composed chain keeps the root spectrum, not the field it came from
+        u = _unpack(SPEC, grid, y).A[1].value
+        chain = u.riesz(1).dx(2).lambda_pow(-2.0).dealias()
+        assert chain._root is u.rhat
+        chain.values
+        del u, chain
         assert gc.collect() == 0
     finally:
         gc.enable()

@@ -13,10 +13,16 @@ from ym2d.identities import (
 
 TOL = 1e-10
 # run_identity_suite builds one Lorenz state per seed and all nine checks read
-# it (8 per seed when each check built its own); check_scaling_covariance
-# makes ym4_rhs once for A and once per lambda (2.0 and 0.5).
+# it (8 per seed when each check built its own).  The seed's inputs carry
+# ym4_rhs(A), which check_af_equivalence and check_scaling_covariance share,
+# and the state's F slots carry curvature(A), which check_data_consistency
+# reads; check_scaling_covariance makes ym4_rhs once per lambda (2.0 and 0.5).
+# That is 3 ym4_rhs and 1 curvature per seed (4 and 2 when each check made
+# its own).
 LORENZ_STATES_PER_SEED = 1
-SCALING_YM4_CALLS = 3
+SCALING_YM4_CALLS = 2
+YM4_CALLS_PER_SEED = 3
+CURVATURE_CALLS_PER_SEED = 1
 
 
 def test_suite_has_all_layers():
@@ -93,6 +99,14 @@ def test_suite_builds_one_lorenz_state_per_seed(monkeypatch):
     calls = _counted(monkeypatch, "_lorenz_state")
     run_identity_suite(su(2), seeds=range(2))
     assert len(calls) == 2 * LORENZ_STATES_PER_SEED
+
+
+def test_suite_makes_ym4_rhs_and_curvature_once_per_seed(monkeypatch):
+    ym4 = _counted(monkeypatch, "ym4_rhs")
+    curv = _counted(monkeypatch, "curvature")
+    run_identity_suite(su(2), seeds=range(2))
+    assert len(ym4) == 2 * YM4_CALLS_PER_SEED
+    assert len(curv) == 2 * CURVATURE_CALLS_PER_SEED
 
 
 def test_scaling_covariance_ym4_rhs_count(monkeypatch):

@@ -2,7 +2,7 @@ import numpy as np
 import pytest
 
 from ym2d import spectral
-from ym2d.algebra import bracket_coeffs, su
+from ym2d.algebra import bracket_coeffs, so, su
 from ym2d.evolve import analytic_potential
 from ym2d.nullforms import SpacetimePair
 from ym2d.planewave import lorenz_compatible
@@ -129,9 +129,10 @@ def test_project_gauss_data_requires_grid_fields():
         project_gauss_data(a, tuple(u.dt() for u in a))
 
 
-@pytest.mark.parametrize("n", [2, 3])
-def test_assembled_rhs_matches_eager_transforms(n, monkeypatch):
-    spec, grid = su(n), TorusGrid(16)
+@pytest.mark.parametrize("spec", [su(2), su(3), so(3), so(4)],
+                         ids=["2", "3", "so3", "so4"])
+def test_assembled_rhs_matches_eager_transforms(spec, monkeypatch):
+    grid = TorusGrid(16)
     # scale 0.1 at N = 16: strong brackets and content at the Nyquist frequencies
     a, a_dot = analytic_potential(spec, grid, 2, 1e-1)
 
@@ -143,9 +144,11 @@ def test_assembled_rhs_matches_eager_transforms(n, monkeypatch):
 
     lazy = [f.values for f in fields()]
 
-    def eager(self, m, truncates=False):
-        # a values-only result: the next link transforms forward again
+    def eager(self, kind, param=None, truncates=False):
+        # a values-only result: the next link transforms forward again, so no
+        # chain of multipliers is composed
         N = self.grid.N
+        m = self.grid.chain_array(((kind, param),))
         vals = np.fft.irfft2(self.rhat * m, s=(N, N), axes=(-2, -1)) * N**2
         return GridField(self.spec, self.grid, vals)
 
