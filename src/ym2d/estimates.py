@@ -15,6 +15,13 @@ Three kinds of desk-scale evidence back the estimate machinery:
     variable) as discrete proxies for the X^r_{s,b} norms -- the proxy choice
     is recorded in every report.
 
+Two tables declare the catalogue, each entry once: ESTIMATES maps an
+estimate id to the weight of its output norm and its expression on the
+inputs (ESTIMATE_IDS is its keys), and AUDITS maps a sampled report's name to
+its ratio function and the keys of its argmax point, in argument order; each
+check records its argmax point under those keys and evaluate_point recomputes
+the ratio from them.
+
 Thresholds are artifact conventions (the underlying "<=" constants are
 absolute but never stated); what is witnessed is a finite, stable sup over
 large samples, plus resolution-stability for the grid sweeps.
@@ -47,8 +54,6 @@ FK_CASES = (
     "ellipticQ0",
     "hyperbolicQ0",
 )
-
-ESTIMATE_IDS = tuple(range(21, 38))
 
 DEGENERACY_EPS = 1e-12
 
@@ -172,10 +177,12 @@ def _random_times(rng, count, xi_abs, eta_abs):
     return tau, lam
 
 
-def _report_from_ratios(name, ratios, points, threshold, skipped=0):
+def _report_from_ratios(name, ratios, args, threshold, skipped=0):
+    """The report of a sampled check; args are the sample arrays of its ratio
+    arguments, recorded at the argmax under the keys AUDITS gives them."""
     idx = int(np.argmax(ratios))
     sup = float(ratios[idx])
-    argmax = {k: float(v[idx]) for k, v in points.items()}
+    argmax = {k: float(v[idx]) for k, v in zip(AUDITS[name][1], args)}
     return BoundReport(
         name=name,
         samples=int(ratios.size),
@@ -215,12 +222,9 @@ def check_gamma1_symbol(cfg: SampleConfig, shared=None) -> BoundReport:
     eta_abs = np.hypot(eta[:, 0], eta[:, 1])
     # stress the characteristic surface: tau ~ +-<xi>, lam ~ +-<eta> half the time
     tau, lam = _random_times(rng, cfg.count, _bracket(xi_abs), _bracket(eta_abs))
-    ratios = _gamma1_ratio(xi[:, 0], xi[:, 1], tau, eta[:, 0], eta[:, 1], lam)
-    points = {
-        "xi1": xi[:, 0], "xi2": xi[:, 1], "tau": tau,
-        "eta1": eta[:, 0], "eta2": eta[:, 1], "lam": lam,
-    }
-    return _report_from_ratios("gamma1Symbol", ratios, points, GAMMA1_THRESHOLD)
+    args = (xi[:, 0], xi[:, 1], tau, eta[:, 0], eta[:, 1], lam)
+    return _report_from_ratios("gamma1Symbol", _gamma1_ratio(*args), args,
+                               GAMMA1_THRESHOLD)
 
 
 # --- Foschi-Klainerman symbol bounds --------------------------------------
@@ -288,16 +292,11 @@ def check_fk_symbol_bounds(case: str, cfg: SampleConfig, vectors=None) -> BoundR
     if case not in FK_CASES:
         raise ValueError(f"unknown FK case {case!r}; choose from {FK_CASES}")
     eta, z = vectors if vectors is not None else _fk_vectors(cfg)
-    ratios = _fk_ratio(case, eta[:, 0], eta[:, 1], z[:, 0], z[:, 1])
+    args = (eta[:, 0], eta[:, 1], z[:, 0], z[:, 1])
+    ratios = _fk_ratio(case, *args)
     good = np.isfinite(ratios)
-    skipped = int(np.sum(~good))
-    points = {
-        "eta1": eta[good, 0], "eta2": eta[good, 1],
-        "zeta1": z[good, 0], "zeta2": z[good, 1],
-    }
-    return _report_from_ratios(
-        f"fk_{case}", ratios[good], points, FK_THRESHOLD, skipped
-    )
+    return _report_from_ratios(f"fk_{case}", ratios[good], [a[good] for a in args],
+                               FK_THRESHOLD, np.sum(~good))
 
 
 # --- angle estimate -------------------------------------------------------
@@ -334,14 +333,12 @@ def check_angle_estimate(
     nx = np.hypot(xi[:, 0], xi[:, 1])
     ne = np.hypot(eta[:, 0], eta[:, 1])
     tau, lam = _random_times(rng, cfg.count, nx, ne)
+    args = (xi[:, 0], xi[:, 1], tau, eta[:, 0], eta[:, 1], lam)
     best = None
     best_signs = None
     for s1 in (1.0, -1.0):
         for s2 in (1.0, -1.0):
-            r = _angle_ratio(
-                xi[:, 0], xi[:, 1], tau, eta[:, 0], eta[:, 1], lam,
-                alpha, beta, gamma, s1, s2,
-            )
+            r = _angle_ratio(*args, alpha, beta, gamma, s1, s2)
             if best is None:
                 best = r
                 best_signs = (np.full(cfg.count, s1), np.full(cfg.count, s2))
@@ -350,15 +347,9 @@ def check_angle_estimate(
                 best = np.where(upd, r, best)
                 best_signs[0][upd] = s1
                 best_signs[1][upd] = s2
-    points = {
-        "xi1": xi[:, 0], "xi2": xi[:, 1], "tau": tau,
-        "eta1": eta[:, 0], "eta2": eta[:, 1], "lam": lam,
-        "sign1": best_signs[0], "sign2": best_signs[1],
-        "alpha": np.full(cfg.count, alpha),
-        "beta": np.full(cfg.count, beta),
-        "gamma": np.full(cfg.count, gamma),
-    }
-    return _report_from_ratios("angleEstimate", best, points, ANGLE_THRESHOLD)
+    exponents = (np.full(cfg.count, e) for e in (alpha, beta, gamma))
+    return _report_from_ratios("angleEstimate", best, (*args, *exponents, *best_signs),
+                               ANGLE_THRESHOLD)
 
 
 # --- hyperbolic Leibniz rule ----------------------------------------------
@@ -391,14 +382,9 @@ def check_hyperbolic_leibniz(cfg: SampleConfig, shared=None) -> BoundReport:
     # rho pinned to +-|eta| and tau - rho to +-|xi - eta| half the time
     # (the equality branch of the rule)
     rho, dtau = _random_times(rng, cfg.count, ne, nz)
-    tau = rho + dtau
-    ratios = _hlr_ratio(tau, rho, xi[:, 0], xi[:, 1], eta[:, 0], eta[:, 1])
-    points = {
-        "tau": tau, "rho": rho,
-        "xi1": xi[:, 0], "xi2": xi[:, 1],
-        "eta1": eta[:, 0], "eta2": eta[:, 1],
-    }
-    return _report_from_ratios("hyperbolicLeibniz", ratios, points, HLR_THRESHOLD)
+    args = (rho + dtau, rho, xi[:, 0], xi[:, 1], eta[:, 0], eta[:, 1])
+    return _report_from_ratios("hyperbolicLeibniz", _hlr_ratio(*args), args,
+                               HLR_THRESHOLD)
 
 
 # --- delta-function conic integrals ---------------------------------------
@@ -484,6 +470,16 @@ def elliptic_i(tau: float, xi, r: float, tol: float = 1e-8) -> float:
     )
 
 
+def elliptic_i_limit(r: float) -> float:
+    """The limit of I(tau, xi) as tau -> |xi| from above, for r > 1:
+    (2^{r/2} sqrt(pi) Gamma((r-1)/2) / Gamma(r/2))^{1/r}, approached as
+    I_inf - I ~ c eps^{(r-1)/2} at tau/|xi| = 1 + eps.  The endpoint layer of
+    width (2 eps)^{1/2} at the focus eta = 0 carries the integral
+    ~ eps^{(1-r)/2}, which the prefactor of I cancels exactly."""
+    return (2.0 ** (r / 2.0) * math.sqrt(math.pi) * math.gamma((r - 1.0) / 2.0)
+            / math.gamma(r / 2.0)) ** (1.0 / r)
+
+
 def elliptic_i_sweep(
     count: int, r: float = 1.1, rng_seed: int = 0, radius_range=(1e-2, 1e2)
 ):
@@ -554,91 +550,56 @@ def _bracket_pair(u: SpacetimePair, v: SpacetimePair) -> SpacetimePair:
                          u.time_deriv.bracket(v.value) + u.value.bracket(v.time_deriv))
 
 
+def _lowered_brackets(lefts, rights):
+    """[Lambda^-1 x, Lambda^-1 y] for each x in lefts and y in rights."""
+    return [x.lambda_pow(-1.0).bracket(y.lambda_pow(-1.0)) for x in lefts for y in rights]
+
+
+_QSET = ("Q01", "Q12")
+
+# estimate id -> (output weight "s" or "l": its norms are taken at s - 1 or
+# l - 1; expression: the output fields made from the A-type inputs
+# A = (A1, ..., A4) and the F-type inputs F = (F1, F2), A[0] being A1)
+ESTIMATES = {
+    21: ("s", lambda A, F: [null_form(q, A[0].lambda_pow(-1.0), A[1]) for q in _QSET]),
+    22: ("s", lambda A, F: [null_form("Q12", A[0].lambda_pow(-1.0), d.lambda_pow(-1.0))
+                            for d in _free_wave_deriv_variants(A[1])]),
+    23: ("l", lambda A, F: [null_form(q, A[0].lambda_pow(-1.0), F[0]) for q in _QSET]),
+    24: ("l", lambda A, F: [null_form(q, A[0], A[1]) for q in _QSET]),
+    25: ("l", lambda A, F: [null_form("Q0", A[0], A[1])]),
+    26: ("s", lambda A, F: [gamma1(A[0], d) for d in _free_wave_deriv_variants(A[1])]),
+    27: ("s", lambda A, F: [A[0].value.bracket(d.lambda_pow(-2.0))
+                            for d in _deriv_variants(A[1])]),
+    28: ("s", lambda A, F: [A[0].value.lambda_pow(-2.0).bracket(d)
+                            for d in _deriv_variants(A[1])]),
+    29: ("s", lambda A, F: _lowered_brackets([F[0].value], _deriv_variants(F[1]))),
+    30: ("l", lambda A, F: [A[0].value.lambda_pow(-2.0).bracket(d)
+                            for d in _deriv_variants(F[0])]),
+    31: ("l", lambda A, F: [A[0].value.lambda_pow(-1.0).bracket(d)
+                            for d in _deriv_variants(A[1])]),
+    32: ("s", lambda A, F: _lowered_brackets(
+        [F[0].value], _deriv_variants(_bracket_pair(A[0], A[1])))),
+    33: ("s", lambda A, F: _lowered_brackets(
+        _deriv_variants(F[0]), [A[0].value.bracket(A[1].value)])),
+    34: ("s", lambda A, F: _lowered_brackets(
+        [A[0].value.bracket(A[1].value)], _deriv_variants(_bracket_pair(A[2], A[3])))),
+    35: ("s", lambda A, F: [A[0].value.bracket(A[1].value.bracket(A[2].value))]),
+    36: ("l", lambda A, F: [A[0].value.bracket(A[1].value.bracket(F[0].value))]),
+    37: ("l", lambda A, F: [A[0].value.bracket(A[1].value).bracket(
+        A[2].value.bracket(A[3].value))]),
+}
+
+ESTIMATE_IDS = tuple(ESTIMATES)
+
+
 def _expression_norms(estimate_id, grid, pairs, s, l, r):
-    """Output-norm candidates of the named multilinear expression.
-
-    pairs: enough independent unit-norm free-wave inputs (A-type at weight s,
-    F-type at weight l as needed).  Returns a list of output norms; the
-    caller takes the max.
-    """
-    A1, A2, A3, A4 = pairs["A"]
-    F1, F2 = pairs["F"]
-
-    def out(field, weight):
-        return weighted_hat_norm(grid, field.rhat, weight, r)
-
-    qset = ("Q01", "Q12")
-    res = []
-    if estimate_id == 21:
-        for q in qset:
-            res.append(out(null_form(q, A1.lambda_pow(-1.0), A2), s - 1.0))
-    elif estimate_id == 22:
-        for d in _free_wave_deriv_variants(A2):
-            res.append(
-                out(
-                    null_form("Q12", A1.lambda_pow(-1.0), d.lambda_pow(-1.0)),
-                    s - 1.0,
-                )
-            )
-    elif estimate_id == 23:
-        for q in qset:
-            res.append(out(null_form(q, A1.lambda_pow(-1.0), F1), l - 1.0))
-    elif estimate_id == 24:
-        for q in qset:
-            res.append(out(null_form(q, A1, A2), l - 1.0))
-    elif estimate_id == 25:
-        res.append(out(null_form("Q0", A1, A2), l - 1.0))
-    elif estimate_id == 26:
-        for d in _free_wave_deriv_variants(A2):
-            res.append(out(gamma1(A1, d), s - 1.0))
-    elif estimate_id == 27:
-        for d in _deriv_variants(A2):
-            res.append(out(A1.value.bracket(d.lambda_pow(-2.0)), s - 1.0))
-    elif estimate_id == 28:
-        for d in _deriv_variants(A2):
-            res.append(out(A1.value.lambda_pow(-2.0).bracket(d), s - 1.0))
-    elif estimate_id == 29:
-        for d in _deriv_variants(F2):
-            res.append(
-                out(
-                    F1.value.lambda_pow(-1.0).bracket(d.lambda_pow(-1.0)),
-                    s - 1.0,
-                )
-            )
-    elif estimate_id == 30:
-        for d in _deriv_variants(F1):
-            res.append(out(A1.value.lambda_pow(-2.0).bracket(d), l - 1.0))
-    elif estimate_id == 31:
-        for d in _deriv_variants(A2):
-            res.append(out(A1.value.lambda_pow(-1.0).bracket(d), l - 1.0))
-    elif estimate_id in (32, 33, 34):
-        aa = _bracket_pair(A1, A2)
-        if estimate_id == 32:
-            for d in _deriv_variants(aa):
-                res.append(
-                    out(F1.value.lambda_pow(-1.0).bracket(d.lambda_pow(-1.0)), s - 1.0)
-                )
-        elif estimate_id == 33:
-            for d in _deriv_variants(F1):
-                res.append(
-                    out(d.lambda_pow(-1.0).bracket(aa.value.lambda_pow(-1.0)), s - 1.0)
-                )
-        else:
-            for d in _deriv_variants(_bracket_pair(A3, A4)):
-                res.append(
-                    out(aa.value.lambda_pow(-1.0).bracket(d.lambda_pow(-1.0)), s - 1.0)
-                )
-    elif estimate_id == 35:
-        res.append(out(A1.value.bracket(A2.value.bracket(A3.value)), s - 1.0))
-    elif estimate_id == 36:
-        res.append(out(A1.value.bracket(A2.value.bracket(F1.value)), l - 1.0))
-    elif estimate_id == 37:
-        left = A1.value.bracket(A2.value)
-        right = A3.value.bracket(A4.value)
-        res.append(out(left.bracket(right), l - 1.0))
-    else:
-        raise ValueError(f"unknown estimate id {estimate_id}")
-    return res
+    """Output norms of an estimate's expression on the unit-norm free-wave
+    inputs pairs = {"A": [A1, ..., A4], "F": [F1, F2]}; the caller takes the
+    max."""
+    weight, expression = ESTIMATES[estimate_id]
+    w = {"s": s, "l": l}[weight] - 1.0
+    return [weighted_hat_norm(grid, f.rhat, w, r)
+            for f in expression(pairs["A"], pairs["F"])]
 
 
 def _sup_constant(estimate_id, spec, grid, rng, trials, s, l, r):
@@ -705,41 +666,31 @@ def empirical_bilinear_constant(
 
 # --- audit ----------------------------------------------------------------
 
+# report name -> (its ratio function, the keys of its argmax point in argument
+# order); each sampled check records its argmax point under these keys
+AUDITS = {
+    "gamma1Symbol": (_gamma1_ratio, ("xi1", "xi2", "tau", "eta1", "eta2", "lam")),
+    **{f"fk_{case}": (functools.partial(_fk_ratio, case),
+                      ("eta1", "eta2", "zeta1", "zeta2")) for case in FK_CASES},
+    "angleEstimate": (_angle_ratio, ("xi1", "xi2", "tau", "eta1", "eta2", "lam",
+                                     "alpha", "beta", "gamma", "sign1", "sign2")),
+    "hyperbolicLeibniz": (_hlr_ratio, ("tau", "rho", "xi1", "xi2", "eta1", "eta2")),
+}
+
+# the ratio arguments a check passes as Python floats (the others are sample
+# arrays); the audit passes them the same way, since numpy's power by a float
+# and by an array can differ in the last bit
+_SCALAR_KEYS = frozenset(("alpha", "beta", "gamma", "sign1", "sign2"))
+
+
 def evaluate_point(name: str, point: dict) -> float:
     """Recompute the ratio of a sampled check at a recorded argmax point."""
-    p = {k: float(v) for k, v in point.items()}
-    if name == "gamma1Symbol":
-        return float(
-            _gamma1_ratio(
-                np.array([p["xi1"]]), np.array([p["xi2"]]), np.array([p["tau"]]),
-                np.array([p["eta1"]]), np.array([p["eta2"]]), np.array([p["lam"]]),
-            )[0]
-        )
-    if name.startswith("fk_"):
-        return float(
-            _fk_ratio(
-                name[3:],
-                np.array([p["eta1"]]), np.array([p["eta2"]]),
-                np.array([p["zeta1"]]), np.array([p["zeta2"]]),
-            )[0]
-        )
-    if name == "angleEstimate":
-        return float(
-            _angle_ratio(
-                np.array([p["xi1"]]), np.array([p["xi2"]]), np.array([p["tau"]]),
-                np.array([p["eta1"]]), np.array([p["eta2"]]), np.array([p["lam"]]),
-                p["alpha"], p["beta"], p["gamma"], p["sign1"], p["sign2"],
-            )[0]
-        )
-    if name == "hyperbolicLeibniz":
-        return float(
-            _hlr_ratio(
-                np.array([p["tau"]]), np.array([p["rho"]]),
-                np.array([p["xi1"]]), np.array([p["xi2"]]),
-                np.array([p["eta1"]]), np.array([p["eta2"]]),
-            )[0]
-        )
-    raise ValueError(f"no point evaluator for report {name!r}")
+    if name not in AUDITS:
+        raise ValueError(f"no point evaluator for report {name!r}")
+    ratio, keys = AUDITS[name]
+    args = (float(point[k]) if k in _SCALAR_KEYS else np.array([float(point[k])])
+            for k in keys)
+    return float(ratio(*args)[0])
 
 
 def run_symbol_suite(cfg: SampleConfig) -> list:

@@ -173,9 +173,13 @@ class TorusGrid:
         elif kind == "laplacian":
             m = -(xa**2)
         elif kind == "inv_laplacian":
-            # zero mode annihilated
+            # pseudo-inverse of the Laplacian the derivative symbols make,
+            # d_1^2 + d_2^2: -|k|^2 except where the real-to-real part zeroes
+            # a derivative on the self-mirrored columns (Nyquist lines)
+            d1, d2 = (self.multiplier_array("derivative", i) for i in (1, 2))
+            lap = (d1 * d1 + d2 * d2).real
             with np.errstate(divide="ignore"):
-                m = np.where(xa > 0, -1.0 / np.where(xa > 0, xa**2, 1.0), 0.0)
+                m = np.where(lap != 0, 1.0 / np.where(lap != 0, lap, 1.0), 0.0)
         else:
             raise ValueError(f"unknown multiplier kind {kind!r}")
         # the real-to-real part on the self-mirrored columns 0 and N/2
@@ -347,7 +351,7 @@ class GridField:
         return out
 
     def dx(self, i: int):
-        return self._apply_symbol("derivative", i)
+        return self._apply_symbol("derivative", _spatial_index(i))
 
     def lambda_pow(self, s: float):
         return self._apply_symbol("lambda_pow", s)
@@ -356,7 +360,7 @@ class GridField:
         return self._apply_symbol("d_pow", a)
 
     def riesz(self, i: int):
-        return self._apply_symbol("riesz", i)
+        return self._apply_symbol("riesz", _spatial_index(i))
 
     def inv_laplacian(self):
         return self._apply_symbol("inv_laplacian")
@@ -380,6 +384,12 @@ class GridField:
 
     def sup_norm(self) -> float:
         return float(np.max(np.sqrt(np.sum(self.values**2, axis=0))))
+
+
+def _spatial_index(i: int) -> int:
+    if i not in (1, 2):
+        raise ValueError("spatial index must be 1 or 2")
+    return i
 
 
 def _check_lattice(a: np.ndarray, shape: tuple):

@@ -17,6 +17,7 @@ import time
 
 import numpy as np
 import pytest
+from scipy.optimize import brentq
 
 from ym2d.algebra import so, su
 from ym2d.estimates import (
@@ -29,6 +30,7 @@ from ym2d.estimates import (
     SampleConfig,
     delta_integral_ellipse,
     elliptic_i,
+    elliptic_i_limit,
     elliptic_i_sweep,
     empirical_bilinear_constant,
     run_symbol_suite,
@@ -213,6 +215,9 @@ def test_criterion_6_delta_integral_sweeps():
     restricted = max(
         elliptic_i(ratio, (1.0, 0.0), 1.1) for ratio in (2.0, 3.0, 5.0, 10.0)
     )
+    # the closed-form endpoint limit, and the r where it crosses the threshold
+    limit = elliptic_i_limit(1.1)
+    r_star = brentq(lambda r: elliptic_i_limit(r) - 4.0, 1.2, 2.0)
     elapsed = time.perf_counter() - t0
     ok = circle_err <= 1e-8 and sup <= 4.0 and elapsed <= 300.0
     _verdict(
@@ -220,14 +225,16 @@ def test_criterion_6_delta_integral_sweeps():
         ok,
         f"circle error {circle_err:.1e}, sweep sup {sup:.2f} at "
         f"tau/|xi| = {float(argmax['tau']) / float(argmax['xiAbs']):.2e}"
-        f" (threshold 4; sup over tau >= 2|xi| is {restricted:.2f}), "
+        f" (threshold 4; sup over tau >= 2|xi| is {restricted:.2f}; endpoint "
+        f"limit I_inf(1.1) = {limit:.2f}, above 4 for r < r* = {r_star:.4f}), "
         f"{elapsed:.0f} s",
     )
     # The sweep supremum exceeds 4 whenever the sweep samples tau near |xi|:
-    # I(tau, xi) depends only on tau/|xi| and is still rising as tau -> |xi|
-    # (13.2, 15.3, 16.9 at tau/|xi| = 1 + 1e-6, 1e-8, 1e-10; see
-    # test_elliptic_i_still_rising_near_endpoint): the weight
-    # |eta|^{-1-r/2} is borderline at r near 1.
+    # I(tau, xi) depends only on tau/|xi| and rises as tau -> |xi| (13.2,
+    # 15.3, 16.9 at tau/|xi| = 1 + 1e-6, 1e-8, 1e-10) to the closed-form limit
+    # I_inf(1.1) = 22.86 (elliptic_i_limit; the approach is ~ eps^{0.05}).
+    # I_inf(r) = 4 at r* = 1.5383, so the threshold 4 fails at the endpoint
+    # for every r < r*: the weight |eta|^{-1-r/2} is borderline at r near 1.
     # This assertion is expected to fail; see the verdict line for the
     # measured values.
     assert ok

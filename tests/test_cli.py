@@ -71,6 +71,13 @@ def test_simulate_zero_scale_is_zero_trajectory(tmp_path):
         assert [float(x) for x in row.split(",")[1:]] == [0.0] * 5
 
 
+def test_simulate_small_grid_at_defaults(tmp_path):
+    # the default data at N = 16 has Nyquist content; its Gauss projection
+    # converges within the default iteration count
+    out = tmp_path / "n16.csv"
+    assert main(["simulate", "--grid", "16", "--t-end", "0.002", "--out", str(out)]) == 0
+
+
 def test_simulate_artifacts_bit_identical(tmp_path):
     args = [
         "simulate", "--grid", "32", "--dt", "0.002", "--t-end", "0.01",

@@ -1,11 +1,14 @@
 import numpy as np
 import pytest
+from scipy.optimize import brentq
 
 from ym2d import estimates
 from ym2d.algebra import su
 from ym2d.estimates import (
     ANGLE_THRESHOLD,
+    AUDITS,
     ESTIMATE_IDS,
+    ESTIMATES,
     FK_CASES,
     FK_THRESHOLD,
     GAMMA1_THRESHOLD,
@@ -28,6 +31,7 @@ from ym2d.estimates import (
     delta_integral_ellipse,
     delta_integral_hyperbola,
     elliptic_i,
+    elliptic_i_limit,
     elliptic_i_sweep,
     empirical_bilinear_constant,
     evaluate_point,
@@ -78,9 +82,17 @@ def test_hyperbolic_leibniz():
 
 def test_argmax_points_audit():
     """Every reported sup must be reproducible from its argmax point alone."""
-    for rep in run_symbol_suite(CFG):
+    reports = run_symbol_suite(CFG)
+    assert [rep.name for rep in reports] == list(AUDITS)
+    for rep in reports:
         again = evaluate_point(rep.name, rep.argmax_point)
         assert again == pytest.approx(rep.sup_ratio, rel=1e-10)
+
+
+@pytest.mark.parametrize("name", ["gamma2Symbol", "fk_parabolic"])
+def test_evaluate_point_rejects_unknown_report(name):
+    with pytest.raises(ValueError):
+        evaluate_point(name, {"eta1": 1.0, "eta2": 0.5, "zeta1": -0.5, "zeta2": 2.0})
 
 
 def test_symbol_suite_draws_vectors_once(monkeypatch):
@@ -251,6 +263,25 @@ def test_elliptic_i_scale_invariant_at_endpoint_layer():
     assert three == pytest.approx(one, rel=1e-6)
 
 
+def test_elliptic_i_limit_closed_form():
+    assert elliptic_i_limit(2.0) == pytest.approx(np.sqrt(2.0 * np.pi), rel=1e-15)
+    assert elliptic_i_limit(1.1) == pytest.approx(22.862, abs=5e-4)
+    # the threshold 4 of criterion 6 holds at the endpoint for r >= r* only
+    r_star = brentq(lambda r: elliptic_i_limit(r) - 4.0, 1.2, 2.0)
+    assert r_star == pytest.approx(1.5383, abs=1e-4)
+
+
+@pytest.mark.parametrize("r", [1.1, 1.25, 1.5, 2.0])
+def test_elliptic_i_approaches_limit_at_rate(r):
+    """I_inf - I(1 + eps) = c eps^{(r-1)/2} with c settled between eps = 1e-8
+    and 1e-12 (c = 19.07/18.93 at r = 1.1, 5.188/5.160 at 1.25, 1.548/1.547
+    at 1.5); at r = 2 the approach is faster and c -> 0."""
+    c = [(elliptic_i_limit(r) - elliptic_i(1.0 + e, (1.0, 0.0), r)) / e ** ((r - 1.0) / 2.0)
+         for e in (1e-8, 1e-12)]
+    assert c[0] > 0.0
+    assert c[1] == pytest.approx(c[0], rel=0.02, abs=1e-4)
+
+
 def test_elliptic_i_sweep_reproducible():
     s1 = elliptic_i_sweep(100, 1.1, rng_seed=3)
     s2 = elliptic_i_sweep(100, 1.1, rng_seed=3)
@@ -265,6 +296,10 @@ def test_empirical_constant_runs_all_ids():
         rep = empirical_bilinear_constant(i, 16, cfg, trials=1)
         assert np.isfinite(rep.sup_ratio) and rep.sup_ratio >= 0.0
         assert rep.growth is not None and np.isfinite(rep.growth)
+
+
+def test_estimate_ids_are_the_table_keys():
+    assert ESTIMATE_IDS == tuple(ESTIMATES) == tuple(range(21, 38))
 
 
 def test_empirical_constant_rejects_unknown_id():

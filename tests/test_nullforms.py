@@ -11,6 +11,7 @@ from ym2d.nullforms import (
     symbol_eval,
 )
 from ym2d.planewave import PlaneWaveField, random_field
+from ym2d.spectral import GridField, TorusGrid
 
 
 def _wave(tau, xi, seed=0, n=2):
@@ -21,6 +22,19 @@ def _wave(tau, xi, seed=0, n=2):
 
 def _coeff(field):
     return field.coeffs[0]
+
+
+@pytest.mark.parametrize("i", [0, 3])
+def test_spatial_multipliers_reject_bad_index(i):
+    """dx and riesz take the spatial index 1 or 2 on every field type (a grid
+    field used to treat any other index as 2)."""
+    values = np.random.default_rng(0).standard_normal((3, 16, 16))
+    g = GridField(su(2), TorusGrid(16), values)
+    pw = _wave(1.0, (1.0, 2.0))
+    for f in (g, SpacetimePair(g, g), pw.value, pw):
+        for multiplier in (f.dx, f.riesz):
+            with pytest.raises(ValueError):
+                multiplier(i)
 
 
 @pytest.mark.parametrize("kind", ["Q0", "Q01", "Q02", "Q12"])
