@@ -29,6 +29,7 @@ from .estimates import (
     ESTIMATE_IDS,
     SampleConfig,
     delta_integral_ellipse,
+    elliptic_i_limit,
     elliptic_i_sweep,
     empirical_bilinear_constant,
     run_symbol_suite,
@@ -162,13 +163,13 @@ def cmd_simulate(args) -> int:
             dt=cfg["dt"], t_end=cfg["t_end"], stepper=cfg["stepper"],
             monitor_every=cfg["monitor_every"],
         )
-    # scale is an amplitude; a negative one would also skip the projection
+    # scale is an amplitude
     _require(cfg["seed"] >= 0 and cfg["scale"] >= 0,
              "seed and scale must be nonnegative")
     _require(cfg["snapshot_every"] >= 0, "snapshot_every must be nonnegative")
     _write_manifest(cfg["out"], "simulate", cfg)
     a, a_dot = analytic_potential(spec, grid, cfg["seed"], cfg["scale"])
-    if cfg["project"] and cfg["scale"] > 0:
+    if cfg["project"]:
         state = project_gauss_data(a, a_dot, tol=1e-10)
     else:
         state = state_from_potential(a, a_dot)
@@ -265,7 +266,7 @@ def cmd_check_estimates(args) -> int:
     sup, arg, _ = elliptic_i_sweep(cfg["sweep_count"], 1.1, cfg["seed"])
     sweep_ok = sup <= 4.0
     print(f"{'PASS' if sweep_ok else 'FAIL'} ellipticISweep: sup={sup:.4f} "
-          f"threshold=4 argmax={arg}")
+          f"threshold=4 argmax={arg} endpointLimit={elliptic_i_limit(1.1):.2f}")
     return EXIT_OK if (ok and circle_ok and sweep_ok) else EXIT_NUMERICAL
 
 

@@ -396,8 +396,7 @@ def analytic_potential(
     Each basis coefficient is a product of exp(cos/sin) factors with random
     phases, so Fourier coefficients decay exponentially but never vanish.
     adot_0 := div(a) enforces the Lorenz constraint at t = 0.  with_mean adds
-    a random constant to the spatial components; a nonzero algebra mean of
-    A_i is what lets the Gauss projection absorb the torus zero mode.
+    a random constant to the spatial components.
     """
     rng = np.random.default_rng(seed)
     x1, x2 = grid.points

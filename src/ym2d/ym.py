@@ -20,11 +20,15 @@ from __future__ import annotations
 from dataclasses import dataclass
 
 import numpy as np
+from scipy.sparse.linalg import LinearOperator, gmres
 
 from .nullforms import SpacetimePair, calligraphic_q_factors, gamma1, null_form
 from .spectral import GridField
 
 METRIC_SIGN = (-1.0, 1.0, 1.0)  # eta^{alpha alpha}
+# Krylov dimension of the one GMRES cycle of project_gauss_data; at scale
+# 1e-2 su(2) needs 17-18 iterations, so(4) 25-26 and su(3) 32-34
+_KRYLOV_CAP = 60
 
 
 def _br(x, y):
@@ -112,17 +116,23 @@ def constraint_residuals(state: FieldState) -> tuple:
     """
     a0, a1, a2 = state.A
     lorenz = (a0.time_deriv - a1.value.dx(1) - a2.value.dx(2)).norm()
-    gauss = _gauss_field(state)[0].norm()
+    gauss = _gauss_field(state).norm()
     fc = curvature(state.A)
     compat = max((state.F[k].value - fc[k]).norm() for k in range(3))
     return lorenz, gauss, compat
 
 
-def _gauss_field(state: FieldState) -> tuple:
-    """(g, (F_10, F_20)) with g = d^i F_{i0} + [A^i, F_{i0}]."""
-    f10, f20 = (-1.0 * state.f(0, i).value for i in (1, 2))
-    g = f10.dx(1) + _br(state.A[1].value, f10) + f20.dx(2) + _br(state.A[2].value, f20)
-    return g, (f10, f20)
+def _gauss_field(state: FieldState):
+    """g = d^i F_{i0} + [A^i, F_{i0}]."""
+    return _cov_div(tuple(state.A[i].value for i in (1, 2)),
+                    tuple(-1.0 * state.f(0, i).value for i in (1, 2)))
+
+
+def _cov_div(a: tuple, v: tuple):
+    """Covariant divergence D^i v_i = d^i v_i + [a^i, v_i] of spatial fields
+    v = (v_1, v_2), for a = (a_1, a_2)."""
+    (a1, a2), (v1, v2) = a, v
+    return v1.dx(1) + _br(a1, v1) + v2.dx(2) + _br(a2, v2)
 
 
 def energy(state: FieldState) -> float:
@@ -438,66 +448,42 @@ def _n(state: FieldState, aa: dict, ks: tuple, beta: int, gamma: int):
 
 # --- Gauss-law projection -------------------------------------------------
 
-def project_gauss_data(
-    a: tuple, a_dot: tuple, tol: float = 1e-10, max_iter: int = 25
-) -> FieldState:
-    """Project grid data onto the Gauss constraint by a fixed-point iteration.
+def project_gauss_data(a: tuple, a_dot: tuple, tol: float = 1e-10) -> FieldState:
+    """Project grid data onto the Gauss constraint by one linear solve.
 
-    Starting from the curvature data of (a, adot), repeatedly replace
-    F_{i0} <- F_{i0} - d_i Laplace^{-1} g with g = d^j F_{j0} + [A^j, F_{j0}].
-    The mean of g cannot be removed by a gradient; it is absorbed by constant
-    shifts c_i of F_{i0} solving sum_i [mean(A_i), c_i] = -mean(g) in the
-    least-squares sense.  After convergence adot_i is re-synced from F_{0i}
-    so the returned state is exactly curvature-compatible.  Intended for
-    small data (quadratic terms contract).
+    The Gauss field g = D^i F_{i0} of the curvature data of (a, adot),
+    D_i = d_i + [a_i, .], is linear in F_{i0}, so F_{i0} <- F_{i0} - D_i chi
+    with D^i D_i chi = g removes it.  The solve is one GMRES cycle of at most
+    _KRYLOV_CAP iterations on point values, matrix-free on GridField
+    operations, right-preconditioned by the Poisson pseudo-inverse with -1
+    where the Laplacian symbol vanishes: those modes (the mean among them)
+    pass through, and the solve reaches them by the brackets.  It stops once
+    the L^2 norm of D^i D_i chi - g is at most tol / 10.  F_{0i} = -F_{i0}
+    moves by D_i chi, so adot_i does, and the returned state is exactly
+    curvature-compatible.  A Gauss residual above tol raises RuntimeError.
     """
     a0, a1, a2 = a
     if not isinstance(a0, GridField):
         raise TypeError("project_gauss_data operates on grid fields")
     spec, grid = a0.spec, a0.grid
-    area = grid.L**2
-    state = state_from_potential(a, a_dot)
-    abar = [np.mean(state.A[i].value.values, axis=(1, 2)) for i in (1, 2)]
-    # least-squares matrix for the constant shifts: columns are ad(abar_i)
-    ad = [
-        np.einsum("abc,a->bc", spec.structure, abar[k]).T for k in range(2)
-    ]
-    lsq = np.hstack(ad)  # (dim, 2*dim)
-    # damped normal equations: harmless when the A means vanish (the
-    # constant-shift channel is then simply unavailable)
-    damp = max(1e-6 * float(np.linalg.norm(lsq)) ** 2, 1e-24)
-    gram = lsq.T @ lsq + damp * np.eye(2 * spec.dim)
+    inv_lap = grid.multiplier_array("inv_laplacian")
+    inv_lap = np.where(inv_lap != 0, inv_lap, -1.0)
 
-    last = None
-    for _ in range(max_iter):
-        gauss = constraint_residuals(state)[1]
-        last = gauss
-        if gauss <= tol:
-            return state
-        g, fi0 = _gauss_field(state)
-        # gradient part
-        chi = g.inv_laplacian()
-        gbar = np.mean(g.values, axis=(1, 2))
-        c = np.linalg.solve(gram, lsq.T @ (-gbar))
-        shifts = [c[: spec.dim], c[spec.dim :]]
-        new_fi0 = []
-        for i in (1, 2):
-            corr = GridField(
-                spec,
-                grid,
-                np.broadcast_to(
-                    shifts[i - 1][:, None, None], (spec.dim, grid.N, grid.N)
-                ).copy(),
-            )
-            new_fi0.append(fi0[i - 1] - chi.dx(i) + corr)
-        # re-sync adot_i from f_{0i} = -F_{i0}: adot_i = f_{0i} + d_i a0 - [a0, a_i]
-        adot = list(a_dot)
-        for i in (1, 2):
-            f0i = -1.0 * new_fi0[i - 1]
-            adot[i] = f0i + a[0].dx(i) - _br(a[0], state.A[i].value)
-        state = state_from_potential(a, tuple(adot))
-        a_dot = tuple(adot)
-    raise RuntimeError(
-        f"Gauss projection did not reach tol={tol:.1e} in {max_iter} iterations; "
-        f"last residual {last:.3e}"
-    )
+    def cov_grad(x):
+        """D_i chi for chi the preconditioned point values x."""
+        x = GridField(spec, grid, x.reshape(spec.dim, grid.N, grid.N))
+        chi = GridField(spec, grid, rhat=x.rhat * inv_lap)
+        return chi.dx(1) + _br(a1, chi), chi.dx(2) + _br(a2, chi)
+
+    g = _gauss_field(state_from_potential(a, a_dot)).values.flatten()
+    op = LinearOperator((g.size, g.size), dtype=float,
+                        matvec=lambda x: _cov_div((a1, a2), cov_grad(x)).values.flatten())
+    y, _ = gmres(op, g, rtol=0.0, atol=0.1 * tol * grid.N / grid.L,
+                 restart=_KRYLOV_CAP, maxiter=1)
+    state = state_from_potential(
+        a, (a_dot[0], *(p + d for p, d in zip(a_dot[1:], cov_grad(y)))))
+    gauss = constraint_residuals(state)[1]
+    if gauss > tol:
+        raise RuntimeError(f"Gauss projection did not reach tol={tol:.1e} in "
+                           f"{_KRYLOV_CAP} Krylov iterations; residual {gauss:.3e}")
+    return state

@@ -73,7 +73,7 @@ def test_simulate_zero_scale_is_zero_trajectory(tmp_path):
 
 def test_simulate_small_grid_at_defaults(tmp_path):
     # the default data at N = 16 has Nyquist content; its Gauss projection
-    # converges within the default iteration count
+    # reaches tol within the Krylov cap
     out = tmp_path / "n16.csv"
     assert main(["simulate", "--grid", "16", "--t-end", "0.002", "--out", str(out)]) == 0
 
@@ -129,12 +129,14 @@ def test_check_estimates_small(tmp_path, capsys):
         "--estimate-ids", "24", "--sweep-count", "50", "--out", str(out),
     ])
     # the elliptic sweep honestly exceeds its threshold near tau = |xi|,
-    # so the command reports a numerical failure
+    # so the command reports a numerical failure, with the endpoint limit
+    # I_inf(1.1) that explains it
     assert rc == 3
     stdout = capsys.readouterr().out
     assert "PASS estimate24" in stdout
     assert "PASS deltaIntegralCircle" in stdout
     assert "FAIL ellipticISweep" in stdout
+    assert "endpointLimit=22.86" in stdout
 
 
 def test_check_estimates_has_no_count(tmp_path, capsys):

@@ -1,3 +1,4 @@
+import mpmath
 import numpy as np
 import pytest
 from scipy.optimize import brentq
@@ -280,6 +281,42 @@ def test_elliptic_i_approaches_limit_at_rate(r):
          for e in (1e-8, 1e-12)]
     assert c[0] > 0.0
     assert c[1] == pytest.approx(c[0], rel=0.02, abs=1e-4)
+
+
+def _elliptic_i_mp(eps, r=1.1):
+    """I(1 + eps, (1, 0)) at r in 60-digit mpmath: the confocal phi integrand
+    of delta_integral_ellipse, with breakpoints at +-(pi/2 - k (2 eps)^{1/2})
+    for k = 10^j while k (2 eps)^{1/2} < 0.5, where double precision cannot
+    go (eps far below 1e-16)."""
+    with mpmath.workdps(60):
+        eps, r = mpmath.mpf(eps), mpmath.mpf(r)
+        a, b = 1 + r / 2, r / 2
+
+        def integrand(phi):
+            r1 = eps / 2 + mpmath.sin(mpmath.pi / 4 + phi / 2) ** 2
+            r2 = eps / 2 + mpmath.sin(mpmath.pi / 4 - phi / 2) ** 2
+            return 4 * r1 ** (1 - a) * r2 ** (1 - b)
+
+        edge, w = mpmath.pi / 2, mpmath.sqrt(2 * eps)
+        ks = [mpmath.mpf(10) ** j for j in range(60) if 10 ** j * w < 0.5]
+        pts = ([-edge] + [k * w - edge for k in ks]
+               + [edge - k * w for k in reversed(ks)] + [edge])
+        integral = mpmath.quad(integrand, pts) / (2 * mpmath.sqrt((1 + eps) ** 2 - 1))
+        return eps ** mpmath.mpf(0.5) * integral ** (1 / r)
+
+
+def test_elliptic_i_limit_confirmed_in_mpmath():
+    """c(eps) = (I_inf - I(1 + eps)) / eps^{0.05} at r = 1.1 keeps falling
+    slowly toward its limit far below double precision: 18.800, 18.745,
+    18.728 at eps = 1e-20, 1e-30, 1e-40 (I(1 + 1e-40) = 22.675), so
+    I_inf(1.1) = elliptic_i_limit(1.1) = 22.86 is the endpoint limit."""
+    c = []
+    for e in ("1e-20", "1e-30", "1e-40"):
+        with mpmath.workdps(60):
+            gap = elliptic_i_limit(1.1) - _elliptic_i_mp(e)
+            c.append(float(gap / mpmath.mpf(e) ** mpmath.mpf(0.05)))
+    assert c[0] > c[1] > c[2]
+    assert all(18.6 < x < 18.9 for x in c)
 
 
 def test_elliptic_i_sweep_reproducible():
