@@ -67,8 +67,11 @@ class EvolveConfig:
     monitor_every: int = 10
 
     def __post_init__(self):
-        if self.dt <= 0 or self.t_end < 0:
+        if not (self.dt > 0 and self.t_end >= 0):
             raise ValueError("dt must be positive and t_end nonnegative")
+        # the step count round(t_end / dt) must exist
+        if not np.isfinite([self.dt, self.t_end, self.t_end / self.dt]).all():
+            raise ValueError("dt, t_end and t_end/dt must be finite")
         if self.stepper not in ("RK4", "ExpEuler", "ExpRK2"):
             raise ValueError(f"unknown stepper {self.stepper!r}")
         if self.monitor_every < 1:

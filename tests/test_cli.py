@@ -172,12 +172,50 @@ def test_check_estimates_rejects_bad_id(tmp_path):
     ["picard", "--iterations", "0"],
     ["picard", "--iterations", "1"],
     ["convergence", "--grid", "8"],
+    # non-finite values, and a step count round(t_end/dt) that overflows
+    ["simulate", "--dt", "nan"],
+    ["simulate", "--t-end", "inf"],
+    ["simulate", "--scale", "inf"],
+    ["simulate", "--t-end", "1e300", "--dt", "1e-300"],
+    ["convergence", "--scale", "nan"],
+    ["convergence", "--scale", "-0.01"],
+    ["picard", "--dt", "nan"],
+    ["picard", "--s", "nan"],
+    ["picard", "--scale", "-0.01"],
+    ["check-estimates", "--s", "nan"],
+    ["check-estimates", "--l", "inf"],
 ])
 def test_invalid_config_exits_2_without_manifest(tmp_path, argv, capsys):
     out = tmp_path / "o.out"
     assert main(argv + ["--out", str(out)]) == 2
     assert "config error" in capsys.readouterr().err
     assert not list(tmp_path.iterdir())
+
+
+@pytest.mark.parametrize("text", [
+    '{"dt": NaN}',
+    '{"t_end": Infinity}',
+    '{"dt": 1' + "0" * 400 + "}",  # an int too large for a float
+], ids=["nan", "infinity", "huge-int"])
+def test_non_finite_config_value_exits_2_without_manifest(tmp_path, text, capsys):
+    # json reads NaN, Infinity and any int; a config file may not smuggle
+    # a value in that no flag could give
+    cfg = tmp_path / "cfg.json"
+    cfg.write_text(text)
+    out = tmp_path / "d.csv"
+    assert main(["simulate", "--config", str(cfg), "--out", str(out)]) == 2
+    assert "config error" in capsys.readouterr().err
+    assert sorted(p.name for p in tmp_path.iterdir()) == ["cfg.json"]
+
+
+@pytest.mark.parametrize("out", ["missing/id.jsonl", "."])
+def test_unwritable_out_exits_2_without_manifest(tmp_path, out, capsys):
+    out = tmp_path / "run" / out
+    (tmp_path / "run").mkdir()
+    assert main(["check-identities", "--seeds", "1", "--out", str(out)]) == 2
+    assert "config error" in capsys.readouterr().err
+    assert [p.name for p in tmp_path.iterdir()] == ["run"]
+    assert not list((tmp_path / "run").iterdir())
 
 
 def test_simulate_half_wave_measures_twin_diff(tmp_path):

@@ -45,6 +45,11 @@ def test_config_validation():
         EvolveConfig(dt=0.0, t_end=1.0)
     with pytest.raises(ValueError):
         EvolveConfig(dt=1e-3, t_end=1.0, stepper="Euler")
+    # non-finite values, and a step count t_end/dt that overflows
+    for dt, t_end in [(np.nan, 1.0), (np.inf, 1.0), (1e-3, np.inf),
+                      (1e-3, np.nan), (1e-300, 1e300)]:
+        with pytest.raises(ValueError):
+            EvolveConfig(dt=dt, t_end=t_end)
 
 
 def test_array_state_roundtrip():
