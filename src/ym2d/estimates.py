@@ -76,6 +76,10 @@ class SampleConfig:
         rmin, rmax = self.radius_range
         if not (0 < rmin < rmax):
             raise ValueError("radius range must satisfy 0 < rMin < rMax")
+        # beyond this float64 reads <xi> as |xi|, so the sampled symbols are
+        # not the ones the reports name (r * r overflows to inf, not an error)
+        if 1.0 + rmax * rmax == rmax * rmax:
+            raise ValueError("rMax too large: 1 + rMax^2 must exceed rMax^2 in float64")
         if not (1.0 < self.r_exponent <= 2.0):
             raise ValueError("r exponent must lie in (1, 2]")
 

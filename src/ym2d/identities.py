@@ -201,16 +201,20 @@ def check_scaling_covariance(inputs: SeedInputs) -> float:
 
 def check_data_consistency(inputs: SeedInputs) -> float:
     """Curvature data construction agrees with F[A] at t = 0 (the state's F
-    slots)."""
+    slots), and its fdot12 = d_1 adot_2 - d_2 adot_1 + [adot_1, a_2] +
+    [a_1, adot_2] with the exact time derivative of the F12 slot.  The fdot0i
+    terms use the field equations, which random Lorenz data does not solve,
+    so they are not compared."""
     st = inputs.state
     a = tuple(p.value for p in st.A)
     a_dot = tuple(p.time_deriv for p in st.A)
-    f01, f02, f12, *_ = data_from_potential(a, a_dot)
+    f01, f02, f12, _, _, fdot12 = data_from_potential(a, a_dot)
     fc = tuple(p.value for p in st.F)
     return max(
         (f01 - fc[0]).norm(),
         (f02 - fc[1]).norm(),
         (f12 - fc[2]).norm(),
+        (fdot12 - st.F[2].time_deriv).norm(),
     )
 
 

@@ -1,4 +1,5 @@
-"""Bilinear null-form operators and their Fourier symbols.
+"""Bilinear null-form operators, their Fourier symbols, and the one table of
+linear multiplier symbols.
 
 All operators act on SpacetimePair states (value + first time derivative) and
 work uniformly for exact plane-wave fields and pseudospectral grid fields.
@@ -7,7 +8,10 @@ Metric convention diag(-1, 1, 1): raised index d^0 = -d_t, d^i = d_i.
 A field type provides the linear structure (+, -, scalar *), the spatial
 multipliers dx, lambda_pow, d_pow and riesz, and bracket(other), the
 pointwise commutator; the uncommuted forms (commutator=False) also need
-@, the ordered pointwise product, which only plane-wave fields have.
+@, the ordered pointwise product, which only plane-wave fields have.  Each
+spatial multiplier's symbol is defined once, in MULTIPLIER_SYMBOLS, as a
+function of the spatial frequencies; both field types evaluate that table
+(this module imports neither of them).
 """
 
 from __future__ import annotations
@@ -140,6 +144,38 @@ def gamma1(u: SpacetimePair, v: SpacetimePair, commutator: bool = True):
                        commutator) for j in (1, 2))
     # exactly -uv + p1 + p2, without the copy a scalar multiple makes
     return p1 - uv + p2
+
+
+# --- multiplier symbols ---------------------------------------------------
+
+def _spatial_index(i: int) -> int:
+    if i not in (1, 2):
+        raise ValueError("spatial index must be 1 or 2")
+    return i
+
+
+def angle_bracket(xi1, xi2):
+    """<xi> = (1 + |xi|^2)^(1/2) on frequency arrays."""
+    return np.sqrt(1.0 + np.hypot(xi1, xi2) ** 2)
+
+
+def _d_pow(xi1, xi2, a):
+    """|xi|^a; the xi = 0 entry is 0 unless a = 0, so a < 0 annihilates it."""
+    r, a = np.hypot(xi1, xi2), float(a)
+    return np.where(r > 0, np.where(r > 0, r, 1.0) ** a, float(a == 0))
+
+
+# kind -> symbol(xi1, xi2, param) of each spatial Fourier multiplier, defined
+# once: TorusGrid evaluates it on its lattice, PlaneWaveField on its modes'
+# frequencies, so the identity suite checks the formulas the evolution runs
+MULTIPLIER_SYMBOLS = {
+    "derivative": lambda xi1, xi2, i: 1j * (xi1, xi2)[_spatial_index(i) - 1],
+    "riesz": lambda xi1, xi2, i: (1j * (xi1, xi2)[_spatial_index(i) - 1]
+                                  / angle_bracket(xi1, xi2)),
+    "lambda_pow": lambda xi1, xi2, s: angle_bracket(xi1, xi2) ** float(s),
+    "d_pow": _d_pow,
+    "laplacian": lambda xi1, xi2, _: -(np.hypot(xi1, xi2) ** 2),
+}
 
 
 # --- scalar symbols -------------------------------------------------------

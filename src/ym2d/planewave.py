@@ -4,7 +4,10 @@ A field is sum_k c_k exp(i(tau_k t + xi_k . x)) with matrix coefficients c_k
 (complexified Lie algebra elements, or arbitrary matrices for group-valued
 fields).  Derivatives, Fourier multipliers and pointwise products are exact,
 which turns the algebraic identities of the reformulated system into
-machine-precision checks.
+machine-precision checks.  The spatial multipliers evaluate the symbols of
+nullforms.MULTIPLIER_SYMBOLS on the modes' frequencies, the same functions the
+grid evaluates on its lattice, so the identities check the evolution's own
+symbol formulas.
 
 A field is two arrays: freqs, its K distinct frequencies (tau, xi1, xi2)
 rounded to KEY_DECIMALS and sorted, and coeffs, the (K, n, n) coefficients.
@@ -22,15 +25,12 @@ from dataclasses import dataclass
 import numpy as np
 
 from .algebra import AlgebraSpec, random_element
+from .nullforms import MULTIPLIER_SYMBOLS
 
 COEFF_TOL = 1e-14
 KEY_DECIMALS = 9
 DEFAULT_MODE_CAP = 4096
 PAIR_BLOCK = 65_536  # mode pairs a product holds at once
-
-
-def _angle_bracket(xi1, xi2):
-    return np.sqrt(1.0 + xi1 * xi1 + xi2 * xi2)
 
 
 def _merged(freqs: np.ndarray, coeffs: np.ndarray):
@@ -97,9 +97,6 @@ class PlaneWaveField:
 
     __rmul__ = __mul__
 
-    def __neg__(self):
-        return (-1.0) * self
-
     # --- products and norm --------------------------------------------------
     def bracket(self, other):
         """Pointwise commutator [u, v] (exact)."""
@@ -120,26 +117,24 @@ class PlaneWaveField:
         return self._scaled(1j * self.freqs[:, 0])
 
     def dx(self, i: int):
-        if i not in (1, 2):
-            raise ValueError("spatial index must be 1 or 2")
-        return self._scaled(1j * self.freqs[:, i])
+        return self._apply_symbol("derivative", i)
 
     def lambda_pow(self, s: float):
         """Multiplier <xi>^s (spatial frequency only)."""
-        return self._scaled(_angle_bracket(self.freqs[:, 1], self.freqs[:, 2]) ** s)
+        return self._apply_symbol("lambda_pow", s)
 
     def d_pow(self, a: float):
         """Multiplier |xi|^a; for a < 0 the xi = 0 modes are annihilated."""
-        r = np.hypot(self.freqs[:, 1], self.freqs[:, 2])
-        zero = r == 0.0
-        return self._scaled(np.where(zero, float(a == 0), np.where(zero, 1.0, r) ** a))
+        return self._apply_symbol("d_pow", a)
 
     def riesz(self, i: int):
         """Inhomogeneous Riesz transform, symbol i xi_i / <xi>."""
-        if i not in (1, 2):
-            raise ValueError("spatial index must be 1 or 2")
-        return self._scaled(
-            1j * self.freqs[:, i] / _angle_bracket(self.freqs[:, 1], self.freqs[:, 2]))
+        return self._apply_symbol("riesz", i)
+
+    def _apply_symbol(self, kind: str, param=None):
+        """The spatial multiplier MULTIPLIER_SYMBOLS[kind], evaluated on the
+        modes' frequencies (the formulas the grid evaluates on its lattice)."""
+        return self._scaled(MULTIPLIER_SYMBOLS[kind](self.freqs[:, 1], self.freqs[:, 2], param))
 
     def _scaled(self, symbol: np.ndarray):
         """Multiply each mode's coefficient by its entry of symbol."""

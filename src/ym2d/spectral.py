@@ -7,21 +7,22 @@ real coefficient lattices over the algebra basis as point values (shape
 mirror image.  Every symbol lattice, the dealiasing mask and the
 Fourier-Lebesgue norms use that layout.
 
-A GridField holds its values, its spectrum or both, and makes the missing one
-by one transform when it is first asked for.  A third representation, raw,
-holds the untruncated point values of a product or of a sum of products and
-stands for their 2/3-rule truncation (spectrum by one masked forward
-transform on first use, values from that spectrum).  Multipliers act on the
-spectrum alone, so a chain of them costs no transform, and they compose: a
-multiplier (the dealiasing mask too) applied to a field whose spectrum is not
-made yet multiplies symbols, not spectra.  Such a field holds the spectrum it
-descends from and one composed symbol lattice (cached on the grid), and its
-own spectrum is one multiply, made on first use.  Columns 0 and N/2 of the
-half-plane are their own mirror images; there every symbol is replaced by its
-part that maps real fields to real fields, (m(k) + conj m(-k))/2, so a
-multiplied spectrum is again the spectrum of a real field (odd symbols vanish
-at the Nyquist frequencies), exactly as if each multiplier were followed by
-an inverse and a forward real transform.
+Spectra are the only operand.  A GridField is built from its values or its
+spectrum and makes the other by one transform on first use; +, - and scalar
+* combine spectra, never values.  A raw field, made by a dealiased product or
+a sum of them, holds untruncated point values and stands for their 2/3-rule
+truncation (spectrum by one masked forward transform on first use); raw
+fields alone are truncated by construction.  Multipliers act on the spectrum
+alone and compose: a multiplier (the dealiasing mask too) applied to a field
+whose spectrum is not made yet multiplies symbols, not spectra, so a chain
+holds its root spectrum and one composed lattice cached on the grid, and
+costs one multiply, made on first use.  The symbols are those of
+nullforms.MULTIPLIER_SYMBOLS, which the plane-wave oracle evaluates too.
+Columns 0 and N/2 of the half-plane are their own mirror images; there every
+symbol is replaced by its part that maps real fields to real fields,
+(m(k) + conj m(-k))/2, so a multiplied spectrum is again the spectrum of a
+real field (odd symbols vanish at the Nyquist frequencies), exactly as if
+each multiplier were followed by an inverse and a forward real transform.
 
 A dealiased product brackets its factors' 2/3-rule truncated values (made
 once per field by one inverse transform, the factor's memoized dealias())
@@ -43,6 +44,7 @@ import struct
 import numpy as np
 
 from .algebra import AlgebraSpec, bracket_coeffs
+from .nullforms import MULTIPLIER_SYMBOLS, _spatial_index, angle_bracket
 
 SNAPSHOT_MAGIC = b"YMF2"
 SNAPSHOT_VERSION = 1
@@ -50,7 +52,8 @@ SNAPSHOT_VERSION = 1
 
 @dataclass(frozen=True)
 class TorusGrid:
-    """N x N periodic grid of period L; frequencies 2 pi k / L."""
+    """N x N periodic grid of period L; frequencies 2 pi k / L.  Equal and
+    hashed by (N, L); the cache of lattices takes no part."""
 
     N: int
     L: float = 2.0 * np.pi
@@ -59,12 +62,6 @@ class TorusGrid:
     def __post_init__(self):
         if self.N < 8 or self.N % 2 != 0:
             raise ValueError("N must be even and >= 8")
-
-    def __eq__(self, other):
-        return isinstance(other, TorusGrid) and self.N == other.N and self.L == other.L
-
-    def __hash__(self):
-        return hash((self.N, self.L))
 
     @property
     def points(self):
@@ -119,7 +116,7 @@ class TorusGrid:
     def xi_bracket(self):
         """<xi> = (1 + |xi|^2)^(1/2)."""
         if "xi_bracket" not in self._cache:
-            self._cache["xi_bracket"] = np.sqrt(1.0 + self.xi_abs**2)
+            self._cache["xi_bracket"] = angle_bracket(*self.rfreqs)
         return self._cache["xi_bracket"]
 
     @property
@@ -148,31 +145,12 @@ class TorusGrid:
         return m
 
     def multiplier_array(self, kind: str, param=None) -> np.ndarray:
-        """Scalar symbol lattice of a named multiplier (see GridField)."""
+        """Scalar symbol lattice of a named multiplier: its MULTIPLIER_SYMBOLS
+        entry on rfreqs, or the grid's own inv_laplacian."""
         key = (kind, param)
         if key in self._cache:
             return self._cache[key]
-        k1, k2 = self.rfreqs
-        xa = self.xi_abs
-        xb = self.xi_bracket
-        if kind == "lambda_pow":
-            m = xb ** float(param)
-        elif kind == "d_pow":
-            a = float(param)
-            if a == 0:
-                m = np.ones_like(xa)
-            else:
-                with np.errstate(divide="ignore"):
-                    m = np.where(xa > 0, np.where(xa > 0, xa, 1.0) ** a, 0.0)
-        elif kind == "riesz":
-            ki = k1 if param == 1 else k2
-            m = 1j * ki / xb
-        elif kind == "derivative":
-            ki = k1 if param == 1 else k2
-            m = 1j * ki
-        elif kind == "laplacian":
-            m = -(xa**2)
-        elif kind == "inv_laplacian":
+        if kind == "inv_laplacian":
             # pseudo-inverse of the Laplacian the derivative symbols make,
             # d_1^2 + d_2^2: -|k|^2 except where the real-to-real part zeroes
             # a derivative on the self-mirrored columns (Nyquist lines)
@@ -180,6 +158,8 @@ class TorusGrid:
             lap = (d1 * d1 + d2 * d2).real
             with np.errstate(divide="ignore"):
                 m = np.where(lap != 0, 1.0 / np.where(lap != 0, lap, 1.0), 0.0)
+        elif kind in MULTIPLIER_SYMBOLS:
+            m = MULTIPLIER_SYMBOLS[kind](*self.rfreqs, param)
         else:
             raise ValueError(f"unknown multiplier kind {kind!r}")
         # the real-to-real part on the self-mirrored columns 0 and N/2
@@ -194,58 +174,50 @@ class TorusGrid:
 class GridField:
     """Algebra-valued grid function; immutable.
 
-    A field stores its point values (real, (dim, N, N)), its mean-normalized
-    half-plane spectrum rhat (rfft2 / N^2, (dim, N, N/2 + 1)), or both; or it
-    is a raw field, given by untruncated point values raw (real, (dim, N, N))
-    and standing for their 2/3-rule truncation, rhat = mask * rfft2(raw) / N^2.
-    The missing representations are made on first use and kept.  Stored
-    arrays are read-only, a caller's too (a view is copied, its base would
-    stay writable).  The constructor checks that what it is given is finite;
-    derived fields (multiplier outputs, +, - and scalar *) are built by
-    _derived, without one.
+    Built from point values (real, (dim, N, N)) or from the mean-normalized
+    half-plane spectrum rhat (rfft2 / N^2, (dim, N, N/2 + 1)); the other is
+    made on first use and kept.  A raw field (dealiased_product, and sums and
+    multiples of raw fields) holds untruncated values raw and stands for
+    rhat = mask * rfft2(raw) / N^2.  Stored arrays are read-only, a caller's
+    too (a view is copied, its base would stay writable).  The constructor
+    checks that its input is finite; derived fields (multiplier outputs, +, -
+    and scalar *) are built by _derived, without one.
 
-    Multipliers (dx, riesz, lambda_pow, ..., and dealias) return a field
-    whose spectrum is rhat times the symbol lattice, memoized per field and
-    symbol name key (kind, param).  Until that spectrum is made, the output
-    holds only the spectrum it descends from (root) and the name keys of the
-    chain of symbols applied to it (chain, its lattice cached on the grid), so
-    a further multiplier extends the chain and a chain of them costs one
-    spectrum multiply, made on first use.  A derived field refers to arrays
-    only, never to the field it came from, so the memo makes no reference
-    cycle.  +, - and scalar * act on raw when both operands carry it;
-    otherwise on every other representation both operands have, and on rhat
-    when they share none.  Raw fields and multipliers of truncated fields are
-    truncated (their spectrum vanishes outside the 2/3-rule mask), so their
-    values need no further truncation.
+    +, - and scalar * act on raw when both operands are raw, otherwise on
+    rhat alone, so values are what a field was built from or the inverse
+    transform of its spectrum.  Multipliers (dx, riesz, lambda_pow, ..., and
+    dealias) return a field whose spectrum is rhat times the symbol lattice,
+    memoized per field and name key (kind, param).  Until that spectrum is
+    made, the output holds the spectrum it descends from (root) and the chain
+    of name keys applied to it (its lattice cached on the grid), so a chain
+    costs one spectrum multiply.  A derived field refers to arrays only, never
+    to the field it came from, so the memo makes no reference cycle.
+    dealias() returns the field itself iff it is raw.
     """
 
     __slots__ = ("spec", "grid", "_values", "_rhat", "_raw", "_root", "_chain",
-                 "_truncated", "_mcache")
+                 "_mcache")
 
-    def __init__(self, spec: AlgebraSpec, grid: TorusGrid, values=None, rhat=None,
-                 truncated: bool = False, raw=None):
+    def __init__(self, spec: AlgebraSpec, grid: TorusGrid, values=None, rhat=None):
         N = grid.N
+        if (values is None) == (rhat is None):
+            raise ValueError("a grid field is built from values or from rhat")
         if values is not None:
             values = np.asarray(values, dtype=float)
-        values, rhat, raw = (a if a is None or a.flags.owndata else a.copy()
-                             for a in (values, rhat, raw))
-        if raw is not None:
-            _check_lattice(raw, (spec.dim, N, N))
-        elif values is not None:
+        values, rhat = (a if a is None or a.flags.owndata else a.copy()
+                        for a in (values, rhat))
+        if values is not None:
             _check_lattice(values, (spec.dim, N, N))
-        elif rhat is not None:
-            _check_lattice(rhat, (spec.dim, N, N // 2 + 1))
         else:
-            raise ValueError("a grid field needs values, rhat or raw")
-        self._store(spec, grid, values, rhat, raw, truncated)
+            _check_lattice(rhat, (spec.dim, N, N // 2 + 1))
+        self._store(spec, grid, values, rhat)
 
-    def _derived(self, values=None, rhat=None, truncated=False, raw=None,
-                 root=None, chain=None):
+    def _derived(self, rhat=None, raw=None, root=None, chain=None):
         """A field computed from checked fields: stored without a finiteness check."""
         out = GridField.__new__(GridField)
-        return out._store(self.spec, self.grid, values, rhat, raw, truncated, root, chain)
+        return out._store(self.spec, self.grid, None, rhat, raw, root, chain)
 
-    def _store(self, spec, grid, values, rhat, raw, truncated, root=None, chain=None):
+    def _store(self, spec, grid, values=None, rhat=None, raw=None, root=None, chain=None):
         # each array is the field's own (a caller's view is copied) and becomes
         # read-only: a field cannot change after its check, nor its forms
         # disagree; a root is another field's spectrum, read-only already
@@ -255,15 +227,11 @@ class GridField:
         self.spec, self.grid, self._mcache = spec, grid, {}
         self._values, self._rhat, self._raw = values, rhat, raw
         self._root, self._chain = root, chain
-        self._truncated = truncated or raw is not None
         return self
 
     @staticmethod
     def zero(spec, grid):
-        shape = (spec.dim, grid.N, grid.N)
-        return GridField(spec, grid, np.zeros(shape),
-                         np.zeros(shape[:2] + (grid.N // 2 + 1,), dtype=complex),
-                         truncated=True)
+        return GridField(spec, grid, np.zeros((spec.dim, grid.N, grid.N)))
 
     @staticmethod
     def from_rhat(spec, grid, rhat):
@@ -300,14 +268,7 @@ class GridField:
         self._check(other)
         if self._raw is not None and other._raw is not None:
             return self._derived(raw=op(self._raw, other._raw))
-        values = rhat = None
-        if self._values is not None and other._values is not None:
-            values = op(self._values, other._values)
-        if self._rhat is not None and other._rhat is not None:
-            rhat = op(self._rhat, other._rhat)
-        if values is None and rhat is None:
-            rhat = op(self.rhat, other.rhat)
-        return self._derived(values, rhat, self._truncated and other._truncated)
+        return self._derived(rhat=op(self.rhat, other.rhat))
 
     def __add__(self, other):
         return self._combine(other, np.add)
@@ -318,15 +279,9 @@ class GridField:
     def __mul__(self, s):
         if self._raw is not None:
             return self._derived(raw=self._raw * s)
-        values = None if self._values is None else self._values * s
-        # a multiplier output whose spectrum is not made yet scales its rhat
-        rhat = None if self._rhat is None and values is not None else self.rhat * s
-        return self._derived(values, rhat, self._truncated)
+        return self._derived(rhat=self.rhat * s)
 
     __rmul__ = __mul__
-
-    def __neg__(self):
-        return (-1.0) * self
 
     def _check(self, other):
         if other.grid != self.grid:
@@ -335,7 +290,7 @@ class GridField:
             raise ValueError("algebra mismatch")
 
     # --- multiplier calculus ---------------------------------------------
-    def _apply_symbol(self, kind, param=None, truncates=False):
+    def _apply_symbol(self, kind, param=None):
         # memoized by name key: repeated applications of the same operator to
         # one immutable field cost a dict lookup
         key = (kind, param)
@@ -345,8 +300,7 @@ class GridField:
                 root, chain = self._root, self._chain + (key,)
             else:
                 root, chain = self.rhat, (key,)
-            out = self._derived(truncated=truncates or self._truncated,
-                                root=root, chain=chain)
+            out = self._derived(root=root, chain=chain)
             self._mcache[key] = out
         return out
 
@@ -369,9 +323,10 @@ class GridField:
         return self._apply_symbol("laplacian")
 
     def dealias(self):
-        if self._truncated:
+        """The 2/3-rule truncation; a raw field is truncated already."""
+        if self._raw is not None:
             return self
-        return self._apply_symbol("dealias", truncates=True)
+        return self._apply_symbol("dealias")
 
     def bracket(self, other):
         """Dealiased pointwise commutator [u, v]."""
@@ -384,12 +339,6 @@ class GridField:
 
     def sup_norm(self) -> float:
         return float(np.max(np.sqrt(np.sum(self.values**2, axis=0))))
-
-
-def _spatial_index(i: int) -> int:
-    if i not in (1, 2):
-        raise ValueError("spatial index must be 1 or 2")
-    return i
 
 
 def _check_lattice(a: np.ndarray, shape: tuple):

@@ -168,6 +168,9 @@ def test_check_estimates_rejects_bad_id(tmp_path):
     ["simulate", "--scale", "-0.01"],
     ["check-identities", "--scale", "-0.01"],
     ["check-symbols", "--count", "0"],
+    # an rMax at which float64 cannot tell <xi> from |xi|
+    ["check-symbols", "--radius-max", "1e9"],
+    ["check-symbols", "--radius-max", "1e100"],
     ["check-estimates", "--estimate-ids", "x"],
     ["picard", "--iterations", "0"],
     ["picard", "--iterations", "1"],

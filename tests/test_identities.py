@@ -1,3 +1,4 @@
+import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
@@ -6,10 +7,14 @@ from ym2d import identities
 from ym2d.algebra import so, su
 from ym2d.identities import (
     IDENTITY_CHECKS,
+    check_data_consistency,
     check_scaling_covariance,
     run_identity_suite,
     seed_inputs,
 )
+from ym2d.nullforms import SpacetimePair
+from ym2d.planewave import PlaneWaveField
+from ym2d.ym import FieldState
 
 TOL = 1e-10
 # run_identity_suite builds one Lorenz state per seed and all nine checks read
@@ -80,6 +85,18 @@ def test_residuals_nontrivial_inputs():
     rhs = assemble_rhs(st)
 
     assert max(p.norm() for p in rhs) > 1e-6
+
+
+def test_data_consistency_reads_the_f12_time_derivative():
+    """A state whose F12 time derivative is off by a mode of size 1e-6 reads
+    a residual of at least that size."""
+    inputs = seed_inputs(su(2), 0)
+    st = inputs.state
+    pert = PlaneWaveField.from_modes(2, [(40.0, (7.0, 0.0), 1e-6 * np.eye(2))])
+    f12 = st.F[2]
+    bad = FieldState(st.A, st.F[:2] + (SpacetimePair(f12.value, f12.time_deriv + pert),))
+    assert check_data_consistency(inputs) <= TOL
+    assert check_data_consistency(inputs._replace(state=bad)) >= pert.norm()
 
 
 def _counted(monkeypatch, name):

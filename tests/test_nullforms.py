@@ -3,6 +3,7 @@ import pytest
 
 from ym2d.algebra import so, su
 from ym2d.nullforms import (
+    MULTIPLIER_SYMBOLS,
     Q_KINDS,
     SpacetimePair,
     calligraphic_q,
@@ -35,6 +36,33 @@ def test_spatial_multipliers_reject_bad_index(i):
         for multiplier in (f.dx, f.riesz):
             with pytest.raises(ValueError):
                 multiplier(i)
+    for kind in ("derivative", "riesz"):
+        with pytest.raises(ValueError):
+            g.grid.multiplier_array(kind, i)
+
+
+# one parameter per shared symbol, several for the powers
+SYMBOL_PARAMS = {"derivative": (1, 2), "riesz": (1, 2), "lambda_pow": (-2.0, -1.0, 0.5),
+                 "d_pow": (-1.0, 0.0, 1.0), "laplacian": (None,)}
+
+
+def test_plane_wave_and_grid_evaluate_one_symbol_table():
+    """Every shared multiplier symbol, evaluated by PlaneWaveField at an
+    integer frequency, equals the grid's lattice entry there (interior
+    columns, where the lattice needs no real-to-real part)."""
+    assert set(SYMBOL_PARAMS) == set(MULTIPLIER_SYMBOLS)
+    N = 16
+    grid = TorusGrid(N)
+    rows = np.arange(-N // 2, N // 2)
+    modes = [(0.0, (float(k1), float(k2)), np.eye(2)) for k1 in rows for k2 in range(1, N // 2)]
+    u = PlaneWaveField.from_modes(2, modes)
+    for kind, params in SYMBOL_PARAMS.items():
+        for param in params:
+            lattice = grid.multiplier_array(kind, param)
+            v = u._apply_symbol(kind, param)  # drops the modes a symbol zeroes
+            k1, k2 = v.freqs[:, 1].astype(int), v.freqs[:, 2].astype(int)
+            assert np.array_equal(v.coeffs[:, 0, 0], lattice[k1 % N, k2]), (kind, param)
+            assert v.mode_count == np.count_nonzero(lattice[:, 1:N // 2]), (kind, param)
 
 
 @pytest.mark.parametrize("kind", ["Q0", "Q01", "Q02", "Q12"])

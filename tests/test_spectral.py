@@ -194,13 +194,14 @@ def test_fields_store_values_or_spectrum():
     g = f.dx(1)
     assert g._values is None  # a multiplier transforms nothing
     assert (g - f.laplacian())._values is None
-    assert np.array_equal((2.0 * f).values, 2.0 * f.values)
+    assert np.array_equal((2.0 * f).rhat, 2.0 * f.rhat)
     with pytest.raises(ValueError):
         g.values[0, 0, 0] = 1.0
     with pytest.raises(FloatingPointError):
         GridField.from_rhat(SPEC, f.grid, f.rhat * np.nan)
-    with pytest.raises(ValueError):
-        GridField(SPEC, f.grid)
+    for given in ((), (f.values, f.rhat)):  # values or rhat, exactly one
+        with pytest.raises(ValueError):
+            GridField(SPEC, f.grid, *given)
 
 
 def test_sums_of_products_transform_once(monkeypatch):
@@ -223,6 +224,28 @@ def test_sums_of_products_transform_once(monkeypatch):
     assert s.dealias() is s
     s.values  # made from the kept spectrum by an inverse transform
     assert len(calls) == 1  # one masked transform for the whole sum
-    w[0, 0, 0] = np.inf
+    # a bracket whose product overflows is rejected where it is made
+    big = 1e200 * f
     with pytest.raises(FloatingPointError):
-        GridField(SPEC, f.grid, raw=w)
+        big.bracket(1e200 * g)
+
+
+def test_sums_and_multiples_act_on_spectra():
+    # values are never an operand: a sum, difference or scalar multiple of
+    # values-built fields is spectrum-only, its rhat the same op on the rhats
+    f, g = _field(13), _field(14)
+    for out, want in ((f + g, f.rhat + g.rhat), (f - g, f.rhat - g.rhat),
+                      (2.5 * f, 2.5 * f.rhat), (f * -1.0, -1.0 * f.rhat)):
+        assert out._values is None and out._raw is None
+        assert np.array_equal(out.rhat, want)
+
+
+def test_only_raw_fields_are_truncated():
+    f, g = _field(15), _field(16)
+    fg = f.bracket(g)
+    raw_sum = 2.0 * fg - fg
+    assert fg.dealias() is fg and raw_sum.dealias() is raw_sum
+    for h in (f, fg.dx(1), fg + f):
+        d = h.dealias()
+        assert d is not h
+        assert np.array_equal(d.rhat, h.rhat * f.grid.dealias_mask)

@@ -184,7 +184,7 @@ def test_assembled_rhs_matches_eager_transforms(spec, monkeypatch):
 
     lazy = [f.values for f in fields()]
 
-    def eager(self, kind, param=None, truncates=False):
+    def eager(self, kind, param=None):
         # a values-only result: the next link transforms forward again, so no
         # chain of multipliers is composed
         N = self.grid.N
@@ -196,7 +196,7 @@ def test_assembled_rhs_matches_eager_transforms(spec, monkeypatch):
         # each product masked and transformed at once, as a spectrum-only field
         w = bracket_coeffs(u.spec, u.dealias().values, v.dealias().values)
         rhat = np.fft.rfft2(w, axes=(-2, -1), norm="forward") * u.grid.dealias_mask
-        return GridField(u.spec, u.grid, rhat=rhat, truncated=True)
+        return GridField(u.spec, u.grid, rhat=rhat)
 
     monkeypatch.setattr(GridField, "_apply_symbol", eager)
     monkeypatch.setattr(spectral, "dealiased_product", eager_product)
