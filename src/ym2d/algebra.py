@@ -1,8 +1,10 @@
 """Matrix Lie algebra arithmetic for su(n) and so(n).
 
-Elements are stored as real coefficient vectors over a fixed orthonormal
-basis (inner product Re tr(X Y^dagger)), so that the bracket becomes a
-bilinear form given by precomputed structure constants.
+Elements are plain real coefficient arrays over a fixed orthonormal basis
+(inner product Re tr(X Y^dagger)), with the basis on the leading axis, so
+that the bracket is a bilinear form given by precomputed structure constants
+(bracket_coeffs); AlgebraSpec converts to and from matrices.  There is no
+element class.
 """
 
 from __future__ import annotations
@@ -11,7 +13,6 @@ from dataclasses import dataclass, field
 from enum import Enum
 
 import numpy as np
-from scipy.linalg import expm
 
 
 class AlgebraKind(Enum):
@@ -92,12 +93,14 @@ class AlgebraSpec:
         return self.n * (self.n - 1) // 2
 
     def to_matrix(self, coeffs: np.ndarray) -> np.ndarray:
-        """Reconstruct the matrix sum_a coeffs[a] E_a (coeffs may be complex)."""
+        """The matrices sum_a coeffs[a] E_a (..., n, n) of coefficients on a
+        leading axis (dim, ...); coeffs may be complex."""
         return np.tensordot(coeffs, self.basis, axes=(0, 0))
 
     def from_matrix(self, m: np.ndarray) -> np.ndarray:
-        """Project a matrix onto the basis; exact for algebra-valued m."""
-        c = np.einsum("ij,aji->a", m, np.conj(self.basis).transpose(0, 2, 1))
+        """Project matrices m (..., n, n) onto the basis, coefficients on a
+        leading axis (dim, ...); exact for algebra-valued m."""
+        c = np.einsum("...ij,aji->a...", m, np.conj(self.basis).transpose(0, 2, 1))
         return np.real(c)
 
 
@@ -107,51 +110,6 @@ def su(n: int) -> AlgebraSpec:
 
 def so(n: int) -> AlgebraSpec:
     return AlgebraSpec(AlgebraKind.SO, n)
-
-
-@dataclass(frozen=True)
-class LieElement:
-    spec: AlgebraSpec
-    coeffs: np.ndarray
-
-    def __post_init__(self):
-        c = np.asarray(self.coeffs, dtype=float)
-        if c.shape != (self.spec.dim,):
-            raise ValueError(
-                f"expected {self.spec.dim} coefficients, got shape {c.shape}"
-            )
-        object.__setattr__(self, "coeffs", c)
-
-    def matrix(self) -> np.ndarray:
-        return self.spec.to_matrix(self.coeffs)
-
-    def norm(self) -> float:
-        return float(np.linalg.norm(self.coeffs))
-
-    def __add__(self, other: "LieElement") -> "LieElement":
-        _check_same_spec(self, other)
-        return LieElement(self.spec, self.coeffs + other.coeffs)
-
-    def __sub__(self, other: "LieElement") -> "LieElement":
-        _check_same_spec(self, other)
-        return LieElement(self.spec, self.coeffs - other.coeffs)
-
-    def __mul__(self, s: float) -> "LieElement":
-        return LieElement(self.spec, self.coeffs * s)
-
-    __rmul__ = __mul__
-
-
-def _check_same_spec(x: LieElement, y: LieElement):
-    if x.spec.kind is not y.spec.kind or x.spec.n != y.spec.n:
-        raise ValueError("elements belong to different algebras")
-
-
-def bracket(x: LieElement, y: LieElement) -> LieElement:
-    """Lie bracket [x, y] via structure constants."""
-    _check_same_spec(x, y)
-    c = np.einsum("abc,a,b->c", x.spec.structure, x.coeffs, y.coeffs)
-    return LieElement(x.spec, c)
 
 
 def bracket_coeffs(spec: AlgebraSpec, x: np.ndarray, y: np.ndarray) -> np.ndarray:
@@ -169,14 +127,9 @@ def bracket_coeffs(spec: AlgebraSpec, x: np.ndarray, y: np.ndarray) -> np.ndarra
     return np.einsum("bcp,bp->cp", t, np.reshape(y, (d, -1))).reshape(shape)
 
 
-def random_element(spec: AlgebraSpec, rng_seed: int, scale: float) -> LieElement:
-    """Deterministic random element, coefficients i.i.d. uniform in [-scale, scale]."""
+def random_element(spec: AlgebraSpec, rng_seed: int, scale: float) -> np.ndarray:
+    """Deterministic random coefficients (dim,), i.i.d. uniform in [-scale, scale]."""
     if scale < 0:
         raise ValueError("scale must be nonnegative")
     rng = np.random.default_rng(rng_seed)
-    return LieElement(spec, rng.uniform(-scale, scale, size=spec.dim))
-
-
-def group_exp(x: LieElement) -> np.ndarray:
-    """Matrix exponential of x; lands in SU(n) / SO(n)."""
-    return expm(x.matrix())
+    return rng.uniform(-scale, scale, size=spec.dim)

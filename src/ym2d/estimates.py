@@ -6,10 +6,10 @@ Three kinds of desk-scale evidence back the estimate machinery:
     (the Gamma^1 reduced symbol, the Foschi-Klainerman angle bounds for the
     homogeneous null-form symbols, the angle estimate, and the hyperbolic
     Leibniz rule);
-  * delta-function surface integrals over the ellipses |eta| + |xi-eta| = tau
-    and hyperbolas |eta| - |xi-eta| = tau, by adaptive quadrature along the
-    parametrized conic, including the elliptic-case quantity I(tau, xi) whose
-    uniform boundedness drives the bilinear null-form estimate;
+  * delta-function surface integrals over the ellipses |eta| + |xi-eta| = tau,
+    by adaptive quadrature along the parametrized conic, including the
+    elliptic-case quantity I(tau, xi) whose uniform boundedness drives the
+    bilinear null-form estimate;
   * empirical constants for the catalogued bilinear/multilinear estimates on
     grids, using free-wave inputs (delta-supported in the modulation
     variable) as discrete proxies for the X^r_{s,b} norms -- the proxy choice
@@ -431,35 +431,6 @@ def delta_integral_ellipse(tau: float, xi, a: float, b: float, tol: float = 1e-8
     val, _ = quad(integrand, -edge, edge, epsrel=tol, epsabs=0.0, limit=200,
                   points=breaks or None)
     return float(val / (2.0 * np.sqrt(tau**2 - nxi**2)))
-
-
-def delta_integral_hyperbola(tau: float, xi, a: float, b: float, tol: float = 1e-8):
-    """integral of delta(tau - |eta| + |xi - eta|) |eta|^-a |xi-eta|^-b d eta.
-
-    The level set {|eta| - |xi - eta| = tau} with 0 < |tau| < |xi| is one
-    branch of the confocal hyperbola; fixing v = r1 - r2 = tau and
-    integrating the same area element over u = r1 + r2 = |xi| cosh(psi)
-    gives an exact smooth 1D integral.  Requires a + b > 2 for convergence
-    at infinity (the integrand decays like u^(2 - a - b)).
-    """
-    xi = np.asarray(xi, dtype=float)
-    nxi = float(np.hypot(*xi))
-    if not 0.0 < abs(tau) < nxi:
-        raise ValueError("hyperbola case requires 0 < |tau| < |xi|")
-    if a + b <= 2.0:
-        raise ValueError("need a + b > 2 for a convergent hyperbola integral")
-    # cap the cosh argument well inside overflow while far past any
-    # tolerance: the tail beyond u = |xi| cosh(cap) is ~ u^(2-a-b)
-    cap = min(700.0, max(60.0, 60.0 / (a + b - 2.0)))
-
-    def integrand(psi):
-        u = nxi * np.cosh(psi)
-        r1 = (u + tau) / 2.0
-        r2 = (u - tau) / 2.0
-        return (u**2 - tau**2) * r1 ** (-a) * r2 ** (-b)
-
-    val, _ = quad(integrand, 0.0, cap, epsrel=tol, epsabs=0.0, limit=400)
-    return float(val / (2.0 * np.sqrt(nxi**2 - tau**2)))
 
 
 def elliptic_i(tau: float, xi, r: float, tol: float = 1e-8) -> float:

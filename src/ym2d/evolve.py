@@ -166,12 +166,6 @@ def _step_second_order(spec, grid, y, dt):
     return _rk4(lambda z: _second_order_rhs(spec, grid, z), y, dt)
 
 
-def step_second_order(state: FieldState, dt: float) -> FieldState:
-    """One RK4 step of the full system."""
-    a0 = state.A[0].value
-    return _unpack(a0.spec, a0.grid, _step_second_order(a0.spec, a0.grid, _pack(state), dt))
-
-
 # --- half-wave reduction --------------------------------------------------
 
 def to_half_wave(state: FieldState) -> np.ndarray:

@@ -1,5 +1,5 @@
-"""Bilinear null-form operators, their Fourier symbols, and the one table of
-linear multiplier symbols.
+"""Bilinear null-form operators and the one table of linear multiplier
+symbols.
 
 All operators act on SpacetimePair states (value + first time derivative) and
 work uniformly for exact plane-wave fields and pseudospectral grid fields.
@@ -177,62 +177,3 @@ MULTIPLIER_SYMBOLS = {
     "laplacian": lambda xi1, xi2, _: -(np.hypot(xi1, xi2) ** 2),
 }
 
-
-# --- scalar symbols -------------------------------------------------------
-
-def _bracket2(xi) -> float:
-    return float(np.sqrt(1.0 + xi[0] ** 2 + xi[1] ** 2))
-
-
-def symbol_eval(kind: str, xi, tau: float = 0.0, eta=(0.0, 0.0), lam: float = 0.0):
-    """Scalar Fourier symbol of a named bilinear form at ((tau, xi), (lam, eta)).
-
-    Homogeneous-normalized kinds divide by |xi| |eta| and require nonzero
-    spatial frequencies; the *_sec7 kinds are polynomial in
-    (<xi>, <eta>, xi, eta).  'gamma1' is the reduced symbol
-    -1 + <xi, eta> tau lam / (<xi>^2 <eta>^2).
-
-    Sign convention: Q0 returns the exact plane-wave coefficient factor
-    tau lam - xi . eta; Q12 and Q0i return the symbol with the i^2 = -1 of
-    the two derivatives stripped (the operator multiplies by minus these),
-    so that q12((1,0),(0,1)) = 1.
-    """
-    xi = np.asarray(xi, dtype=float)
-    eta = np.asarray(eta, dtype=float)
-    if kind == "gamma1":
-        return -1.0 + float(xi @ eta) * tau * lam / (_bracket2(xi) ** 2 * _bracket2(eta) ** 2)
-    if kind == "q0_sec7":
-        return _bracket2(xi) * _bracket2(eta) - float(xi @ eta)
-    if kind in ("q01_sec7", "q02_sec7"):
-        i = 0 if kind == "q01_sec7" else 1
-        return -_bracket2(xi) * eta[i] + xi[i] * _bracket2(eta)
-    if kind == "q12_sec7":
-        return -xi[0] * eta[1] + xi[1] * eta[0]
-    nx, ne = float(np.hypot(*xi)), float(np.hypot(*eta))
-    if kind in ("q0", "q01", "q02", "q12"):
-        if nx == 0.0 or ne == 0.0:
-            raise ValueError(f"kind {kind!r} requires nonzero spatial frequencies")
-        if kind == "q0":
-            return (tau * lam - float(xi @ eta)) / (nx * ne)
-        if kind == "q12":
-            return (xi[0] * eta[1] - xi[1] * eta[0]) / (nx * ne)
-        i = 0 if kind == "q01" else 1
-        return (tau * eta[i] - lam * xi[i]) / (nx * ne)
-    if kind == "Q0":
-        return tau * lam - float(xi @ eta)
-    if kind == "Q12":
-        return xi[0] * eta[1] - xi[1] * eta[0]
-    if kind in ("Q01", "Q02"):
-        i = 0 if kind == "Q01" else 1
-        return tau * eta[i] - lam * xi[i]
-    raise ValueError(f"unknown symbol kind {kind!r}")
-
-
-def sin_angle(xi, eta) -> float:
-    """|sin of the angle between xi and eta| = |xi1 eta2 - xi2 eta1|/(|xi||eta|)."""
-    xi = np.asarray(xi, dtype=float)
-    eta = np.asarray(eta, dtype=float)
-    nx, ne = float(np.hypot(*xi)), float(np.hypot(*eta))
-    if nx == 0.0 or ne == 0.0:
-        raise ValueError("angle undefined for zero vector")
-    return abs(xi[0] * eta[1] - xi[1] * eta[0]) / (nx * ne)

@@ -199,7 +199,7 @@ def random_field(
             float(rng.integers(-xi_max, xi_max + 1)),
             float(rng.integers(-xi_max, xi_max + 1)),
         )
-        c = random_element(spec, int(rng.integers(0, 2**31)), scale).matrix()
+        c = spec.to_matrix(random_element(spec, int(rng.integers(0, 2**31)), scale))
         mode_list.append((tau, xi, c))
     return PlaneWaveField.from_modes(spec.n, mode_list)
 
@@ -222,8 +222,8 @@ def lorenz_compatible(
             float(rng.integers(-3, 4)),
             float(rng.integers(-3, 4)),
         )
-        a1 = random_element(spec, int(rng.integers(0, 2**31)), scale).matrix()
-        a2 = random_element(spec, int(rng.integers(0, 2**31)), scale).matrix()
+        a1 = spec.to_matrix(random_element(spec, int(rng.integers(0, 2**31)), scale))
+        a2 = spec.to_matrix(random_element(spec, int(rng.integers(0, 2**31)), scale))
         a0 = (xi[0] * a1 + xi[1] * a2) / tau
         m0.append((tau, xi, a0))
         m1.append((tau, xi, a1))

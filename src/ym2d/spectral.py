@@ -31,8 +31,7 @@ truncation and transform are linear.  Finiteness is checked once, where data
 enters: by the GridField constructor (so by from_rhat and read_snapshot) and
 on each raw product.  Fields derived from checked ones are not checked
 again; every stored array is read-only, so a checked field cannot change.
-Transforms are numpy's FFT, looked up at call time; dft_oracle is a direct
-O(N^4) transform for cross-checking at small N.
+Transforms are numpy's real FFT, looked up at call time.
 """
 
 from __future__ import annotations
@@ -52,8 +51,9 @@ SNAPSHOT_VERSION = 1
 
 @dataclass(frozen=True)
 class TorusGrid:
-    """N x N periodic grid of period L; frequencies 2 pi k / L.  Equal and
-    hashed by (N, L); the cache of lattices takes no part."""
+    """N x N periodic grid of period L; frequencies 2 pi k / L, on the rfft2
+    half-plane only (rfreqs).  Equal and hashed by (N, L); the cache of
+    lattices takes no part."""
 
     N: int
     L: float = 2.0 * np.pi
@@ -70,30 +70,16 @@ class TorusGrid:
         return np.meshgrid(x, x, indexing="ij")
 
     @property
-    def freqs(self):
-        """Frequency arrays xi1, xi2 of shape (N, N) (full fftfreq layout).
-
-        Only for transforms of complex fields; real fields use rfreqs.
-        """
-        if "freqs" not in self._cache:
-            self._cache["freqs"] = np.meshgrid(self._k, self._k, indexing="ij")
-        return self._cache["freqs"]
-
-    @property
     def rfreqs(self):
         """Frequency arrays xi1, xi2 of shape (N, N/2 + 1) (rfft2 layout).
 
         The columns keep the fftfreq signs, so the Nyquist column has
-        xi2 = -N/2 (in units of 2 pi / L), as in the full plane.
+        xi2 = -N/2 (in units of 2 pi / L), as numpy.fft.fftfreq gives it.
         """
         if "rfreqs" not in self._cache:
-            k = self._k
+            k = np.fft.fftfreq(self.N, d=1.0 / self.N) * (2.0 * np.pi / self.L)
             self._cache["rfreqs"] = np.meshgrid(k, k[: self.N // 2 + 1], indexing="ij")
         return self._cache["rfreqs"]
-
-    @property
-    def _k(self):
-        return np.fft.fftfreq(self.N, d=1.0 / self.N) * (2.0 * np.pi / self.L)
 
     @property
     def column_weight(self):
@@ -230,10 +216,6 @@ class GridField:
         return self
 
     @staticmethod
-    def zero(spec, grid):
-        return GridField(spec, grid, np.zeros((spec.dim, grid.N, grid.N)))
-
-    @staticmethod
     def from_rhat(spec, grid, rhat):
         return GridField(spec, grid, rhat=rhat)
 
@@ -337,9 +319,6 @@ class GridField:
         h = self.grid.L / self.grid.N
         return float(np.sqrt(np.sum(self.values**2) * h * h))
 
-    def sup_norm(self) -> float:
-        return float(np.max(np.sqrt(np.sum(self.values**2, axis=0))))
-
 
 def _check_lattice(a: np.ndarray, shape: tuple):
     if a.shape != shape:
@@ -359,23 +338,17 @@ def dealiased_product(u: GridField, v: GridField) -> GridField:
     return u._derived(raw=w)
 
 
-def discrete_norm(u: GridField, s: float, r: float) -> float:
-    """Discrete Fourier-Lebesgue norm || <xi>^s u_hat ||_{l^{r'}}.
+def weighted_hat_norm(grid: TorusGrid, rhat: np.ndarray, s: float, r: float) -> float:
+    """Discrete Fourier-Lebesgue norm || <xi>^s u_hat ||_{l^{r'}} of a real
+    field given by its mean-normalized rhat lattice.
 
     u_hat is normalized as a Riemann-sum approximation of the continuum
     transform with the (2 pi)^(-d/2) convention, so that r=2, s=0 reproduces
-    the grid L^2 norm exactly (discrete Parseval).
-    """
-    return weighted_hat_norm(u.grid, u.rhat, s, r)
-
-
-def weighted_hat_norm(grid: TorusGrid, rhat: np.ndarray, s: float, r: float) -> float:
-    """discrete_norm of a real field given by its mean-normalized rhat lattice.
-
-    rhat has shape (..., N, N/2 + 1); leading axes are contracted in
-    Frobenius norm (so algebra components combine isometrically).  Each
-    column also stands for its mirror image (grid.column_weight), so the sum
-    runs over the full frequency plane.
+    the grid L^2 norm exactly (discrete Parseval).  rhat has shape
+    (..., N, N/2 + 1); leading axes are contracted in Frobenius norm (so
+    algebra components combine isometrically).  Each column also stands for
+    its mirror image (grid.column_weight), so the sum runs over the full
+    frequency plane.
     """
     if not (1.0 < r <= 2.0):
         raise ValueError("Lebesgue exponent r must satisfy 1 < r <= 2")
@@ -387,14 +360,6 @@ def weighted_hat_norm(grid: TorusGrid, rhat: np.ndarray, s: float, r: float) -> 
     w = grid.xi_bracket**s * mag
     dxi = (2.0 * np.pi / grid.L) ** 2
     return float((np.sum(w**rp * grid.column_weight) * dxi) ** (1.0 / rp))
-
-
-def dft_oracle(values: np.ndarray) -> np.ndarray:
-    """Direct O(N^4) forward transform (mean-normalized), for small-N checks."""
-    N = values.shape[-1]
-    n = np.arange(N)
-    w = np.exp(-2j * np.pi * np.outer(n, n) / N)
-    return np.einsum("ka,...ab,lb->...kl", w, values, w) / N**2
 
 
 # --- snapshot format ------------------------------------------------------

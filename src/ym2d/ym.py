@@ -10,7 +10,8 @@ A field type provides what nullforms needs of it (+, -, scalar *, dx,
 lambda_pow, d_pow, riesz, bracket) and norm(): the max-coefficient norm for
 plane waves, the discrete L^2 norm for grid fields, used for constraint
 residuals and energy.  Time derivatives come from the SpacetimePair, never
-from the field.  Only gauge_transform and project_gauss_data are grid-only.
+from the field.  Only gauge_transform and project_gauss_data are grid-only;
+like every grid operation they work on the rfft2 half-plane.
 
 Metric diag(-1, 1, 1): raised index A^0 = -A_0, A^i = A_i.
 """
@@ -22,6 +23,7 @@ from dataclasses import dataclass
 import numpy as np
 from scipy.sparse.linalg import LinearOperator, gmres
 
+from .algebra import AlgebraKind
 from .nullforms import SpacetimePair, calligraphic_q_factors, gamma1, null_form
 from .spectral import GridField
 
@@ -155,48 +157,43 @@ def gauge_transform(state: FieldState, U: np.ndarray, tol: float = 1e-8) -> Fiel
 
     A'_alpha = U A_alpha U^{-1} - (d_alpha U) U^{-1},  F' = U F U^{-1};
     with dt U = 0 the time derivatives conjugate as well.  U has shape
-    (N, N, n, n) and must be unitary within tol at every point.
+    (N, N, n, n) and must lie in the group within tol at every point:
+    unitary with det U = 1, and real for so(n).  d_i U is the grid's
+    derivative multiplier on the rfft2 half-plane, applied to the real and
+    imaginary parts of U's entries, which are real fields.
     """
     a0 = state.A[0].value
     if not isinstance(a0, GridField):
         raise TypeError("gauge_transform operates on grid states")
     spec, grid = a0.spec, a0.grid
-    n = spec.n
-    eye = np.eye(n)
-    err = np.max(np.abs(U @ np.conj(U).transpose(0, 1, 3, 2) - eye))
-    if err > tol:
-        raise ValueError(f"U not unitary: max |U U^dagger - I| = {err:.3e}")
+    U = np.ascontiguousarray(U, dtype=complex)
     Uinv = np.conj(U).transpose(0, 1, 3, 2)
+    errs = {"U U^dagger - I": U @ Uinv - np.eye(spec.n),
+            "det U - 1": np.linalg.det(U) - 1.0}
+    if spec.kind is AlgebraKind.SO:
+        errs["Im U"] = U.imag
+    for what, e in errs.items():
+        err = np.max(np.abs(e))
+        if err > tol:
+            raise ValueError(f"U not in the group: max |{what}| = {err:.3e}")
 
-    # spectral spatial derivatives of U, entrywise
-    k1, k2 = grid.freqs
-    Uh = np.fft.fft2(U, axes=(0, 1))
-    dU = [
-        np.fft.ifft2(1j * k1[..., None, None] * Uh, axes=(0, 1)),
-        np.fft.ifft2(1j * k2[..., None, None] * Uh, axes=(0, 1)),
-    ]
+    # viewed as float, U is (N, N, n, 2n): the real and imaginary parts of
+    # each entry side by side, so one real transform differentiates both;
+    # shift[alpha] = (d_alpha U) U^{-1}, zero for the time-independent alpha = 0
+    Uh = np.fft.rfft2(U.view(float), axes=(0, 1))
+    dU = (np.fft.irfft2(grid.multiplier_array("derivative", i)[..., None, None] * Uh,
+                        s=(grid.N, grid.N), axes=(0, 1)).view(complex) for i in (1, 2))
+    shift = [0.0] + [d @ Uinv for d in dU]
 
-    def to_mats(f: GridField):
-        return np.einsum("axy,aij->xyij", f.values, spec.basis)
+    def conj_field(f: GridField, minus=0.0):
+        m = U @ spec.to_matrix(f.values) @ Uinv - minus
+        return GridField(spec, grid, spec.from_matrix(m))
 
-    def from_mats(m):
-        c = np.einsum("xyij,aji->axy", m, np.conj(spec.basis).transpose(0, 2, 1))
-        return GridField(spec, grid, np.real(c))
-
-    def conj_field(f: GridField):
-        return from_mats(U @ to_mats(f) @ Uinv)
-
-    newA = []
-    for alpha in range(3):
-        p = state.A[alpha]
-        av = U @ to_mats(p.value) @ Uinv
-        if alpha > 0:
-            av = av - dU[alpha - 1] @ Uinv
-        newA.append(SpacetimePair(from_mats(av), conj_field(p.time_deriv)))
-    newF = tuple(
-        SpacetimePair(conj_field(p.value), conj_field(p.time_deriv)) for p in state.F
-    )
-    return FieldState(tuple(newA), newF)
+    newA = tuple(SpacetimePair(conj_field(p.value, shift[a]), conj_field(p.time_deriv))
+                 for a, p in enumerate(state.A))
+    newF = tuple(SpacetimePair(conj_field(p.value), conj_field(p.time_deriv))
+                 for p in state.F)
+    return FieldState(newA, newF)
 
 
 # --- direct expansions (oracles for the assembled system) -----------------

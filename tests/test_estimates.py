@@ -30,7 +30,6 @@ from ym2d.estimates import (
     check_gamma1_symbol,
     check_hyperbolic_leibniz,
     delta_integral_ellipse,
-    delta_integral_hyperbola,
     elliptic_i,
     elliptic_i_limit,
     elliptic_i_sweep,
@@ -192,29 +191,6 @@ def test_ellipse_monte_carlo_cross_check():
     good = (r1 > 1e-9) & (r2 > 1e-9)
     mc = np.mean(np.where(good, w * r1**-a * r2**-b, 0.0)) * (2 * R) ** 2
     assert mc == pytest.approx(exact, rel=0.05)
-
-
-def test_hyperbola_requires_integrable_weights():
-    with pytest.raises(ValueError):
-        delta_integral_hyperbola(0.5, (1.0, 0.0), 0.5, 0.5)  # a + b <= 2
-    with pytest.raises(ValueError):
-        delta_integral_hyperbola(2.0, (1.0, 0.0), 1.5, 1.5)  # |tau| >= |xi|
-
-
-def test_hyperbola_monte_carlo_cross_check():
-    tau, xi, a, b = 0.6, (1.4, 0.2), 1.6, 1.1
-    exact = delta_integral_hyperbola(tau, xi, a, b)
-    rng = np.random.default_rng(7)
-    R = 12.0
-    n = 600_000
-    eta = rng.uniform(-R, R, size=(n, 2))
-    r1 = np.hypot(eta[:, 0], eta[:, 1])
-    r2 = np.hypot(eta[:, 0] - xi[0], eta[:, 1] - xi[1])
-    eps = 1e-2
-    w = np.exp(-0.5 * ((tau - r1 + r2) / eps) ** 2) / (eps * np.sqrt(2 * np.pi))
-    good = (r1 > 1e-3) & (r2 > 1e-3)
-    mc = np.mean(np.where(good, w * r1**-a * r2**-b, 0.0)) * (2 * R) ** 2
-    assert mc == pytest.approx(exact, rel=0.25)
 
 
 def test_elliptic_i_scale_invariant():

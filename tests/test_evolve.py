@@ -11,6 +11,7 @@ from ym2d.evolve import (
     _pack,
     _rk4,
     _second_order_rhs,
+    _step_second_order,
     _unpack,
     _ym4_rhs_array,
     analytic_potential,
@@ -21,12 +22,11 @@ from ym2d.evolve import (
     records_to_csv,
     state_from_array,
     step_half_wave,
-    step_second_order,
     temporal_order,
     to_half_wave,
 )
 from ym2d.identities import _lorenz_state
-from ym2d.spectral import GridField, TorusGrid, discrete_norm
+from ym2d.spectral import GridField, TorusGrid, weighted_hat_norm
 from ym2d.ym import assemble_rhs, project_gauss_data, state_from_potential, ym4_rhs
 
 SPEC = su(2)
@@ -38,6 +38,12 @@ def _state(seed=0, N=32, scale=1e-2, project=False):
     if project:
         return project_gauss_data(a, a_dot, tol=1e-10)
     return state_from_potential(a, a_dot)
+
+
+def _rk4_step(state, dt):
+    """One RK4 step of the full system, on the packed spectra."""
+    spec, grid = state.A[0].value.spec, state.A[0].value.grid
+    return _unpack(spec, grid, _step_second_order(spec, grid, _pack(state), dt))
 
 
 def test_config_validation():
@@ -99,7 +105,7 @@ def test_half_wave_matches_second_order():
     ref = st
     for _ in range(steps):
         hw = step_half_wave(SPEC, grid, hw, dt, "ExpRK2")
-        ref = step_second_order(ref, dt)
+        ref = _rk4_step(ref, dt)
     d = np.max(
         np.abs(array_from_state(from_half_wave(SPEC, grid, hw)) - array_from_state(ref))
     )
@@ -112,7 +118,7 @@ def test_exp_euler_less_accurate_than_exp_rk2():
     dt, steps = 2e-3, 20
     ref = st
     for _ in range(steps):
-        ref = step_second_order(ref, dt)
+        ref = _rk4_step(ref, dt)
     yref = array_from_state(ref)
     errs = {}
     for stepper in ("ExpEuler", "ExpRK2"):
@@ -138,7 +144,7 @@ def test_rk4_nan_guard():
     with pytest.raises(FloatingPointError):
         s = st
         for _ in range(200):
-            s = step_second_order(s, 0.5)
+            s = _rk4_step(s, 0.5)
 
 
 def test_half_wave_nan_guard():
@@ -216,7 +222,7 @@ def test_half_wave_path_uses_only_the_rfft2_layout(monkeypatch):
     assert hw.shape == (6, 2, SPEC.dim, 16, 16 // 2 + 1)
     diffs, _ = picard_iterate(st, 1, 1e-3, 1e-3, r=1.5)
     assert len(diffs) == 1 and diffs[0] > 0.0
-    assert discrete_norm(st.A[1].value, 0.8, 1.5) > 0.0
+    assert weighted_hat_norm(grid, st.A[1].value.rhat, 0.8, 1.5) > 0.0
 
 
 @pytest.mark.parametrize("r", [1.5, 2.0])
@@ -226,7 +232,8 @@ def test_hw_norm_matches_full_plane(r):
     st = state_from_potential(a, a_dot)
     # the full-plane formula: sum over components and signs of the fft2
     # half-wave lattices' weighted l^{r'} norms
-    k1, k2 = grid.freqs
+    k = np.fft.fftfreq(grid.N, d=1.0 / grid.N) * (2.0 * np.pi / grid.L)
+    k1, k2 = np.meshgrid(k, k, indexing="ij")
     lam = np.sqrt(1.0 + k1**2 + k2**2)
     rp = r / (r - 1.0)
     full = 0.0
@@ -384,7 +391,7 @@ def test_rk4_on_spectra_matches_the_values_path():
     st = _state(seed=2, N=16, scale=1e-1)
     y = array_from_state(st)
     for _ in range(10):
-        st = step_second_order(st, dt)
+        st = _rk4_step(st, dt)
         y = _rk4(lambda z: _values_rk4_rhs(SPEC, grid, z), y, dt)
     got = array_from_state(st)
     assert np.max(np.abs(got - y)) <= 1e-14 * np.max(np.abs(y))

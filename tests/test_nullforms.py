@@ -8,8 +8,6 @@ from ym2d.nullforms import (
     SpacetimePair,
     calligraphic_q,
     null_form,
-    sin_angle,
-    symbol_eval,
 )
 from ym2d.planewave import PlaneWaveField, random_field
 from ym2d.spectral import GridField, TorusGrid
@@ -23,6 +21,18 @@ def _wave(tau, xi, seed=0, n=2):
 
 def _coeff(field):
     return field.coeffs[0]
+
+
+def _symbol(kind, xi, tau, eta, lam):
+    """Fourier symbol of Q0, Q0i or Q12 at ((tau, xi), (lam, eta)): the
+    plane-wave coefficient factor tau lam - xi . eta for Q0, and for Q_{ab}
+    the symbol with the i^2 = -1 of the two derivatives stripped."""
+    if kind == "Q0":
+        return tau * lam - float(np.dot(xi, eta))
+    if kind == "Q12":
+        return xi[0] * eta[1] - xi[1] * eta[0]
+    i = {"Q01": 0, "Q02": 1}[kind]
+    return tau * eta[i] - lam * xi[i]
 
 
 @pytest.mark.parametrize("i", [0, 3])
@@ -74,7 +84,7 @@ def test_null_form_symbol_on_single_modes(kind):
     u, v = _wave(tau, xi, seed=1), _wave(lam, eta, seed=2)
     w = null_form(kind, u, v)
     cu, cv = _coeff(u.value), _coeff(v.value)
-    sym = symbol_eval(kind, xi, tau=tau, eta=eta, lam=lam)
+    sym = _symbol(kind, xi, tau, eta, lam)
     # i^2 from the two derivatives: Q_{ab} picks up -sym, Q0 picks up +sym
     sign = 1.0 if kind == "Q0" else -1.0
     expect = sign * sym * (cu @ cv - cv @ cu)
@@ -110,31 +120,16 @@ def test_symbol_vanishes_on_parallel_null_frequencies():
     xi = (3.0, 4.0)
     eta = (1.5, 2.0)
     tau, lam = 5.0, 2.5
+    u, v = _wave(tau, xi, seed=5), _wave(lam, eta, seed=6)
     for kind in ("Q0", "Q12", "Q01", "Q02"):
-        assert abs(symbol_eval(kind, xi, tau=tau, eta=eta, lam=lam)) < 1e-12
+        assert null_form(kind, u, v).norm() < 1e-12
 
 
 def test_lowercase_kinds_pre_apply_homogeneous_smoothing():
     xi, eta = (2.0, 0.0), (0.0, 3.0)
     tau, lam = 1.0, -1.0
-    big = symbol_eval("Q12", xi, tau=tau, eta=eta, lam=lam)
-    small = symbol_eval("q12", xi, tau=tau, eta=eta, lam=lam)
-    assert abs(small - big / (2.0 * 3.0)) < 1e-13
+    u, v = _wave(tau, xi, seed=7), _wave(lam, eta, seed=8)
+    big, small = null_form("Q12", u, v), null_form("q12", u, v)
+    assert big.norm() > 1.0
+    assert (small - big * (1.0 / (2.0 * 3.0))).norm() < 1e-13
     assert set(("q0", "q01", "q02", "q12")).issubset(Q_KINDS)
-
-
-def test_q0_sec7_symbol_positive():
-    # <xi><eta> - xi.eta >= 1 for nonparallel lattice modes
-    v = symbol_eval("q0_sec7", (1.0, 0.0), eta=(0.0, 1.0))
-    assert v == pytest.approx(np.sqrt(2.0) * np.sqrt(2.0), rel=1e-12)
-
-
-def test_sin_angle_range_and_known_values():
-    assert sin_angle((1.0, 0.0), (0.0, 2.0)) == pytest.approx(1.0)
-    assert sin_angle((1.0, 1.0), (2.0, 2.0)) == pytest.approx(0.0, abs=1e-12)
-    rng = np.random.default_rng(0)
-    for _ in range(50):
-        a = rng.standard_normal(2)
-        b = rng.standard_normal(2)
-        s = sin_angle(tuple(a), tuple(b))
-        assert -1e-12 <= s <= 1.0 + 1e-12

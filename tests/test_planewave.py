@@ -135,7 +135,7 @@ def _coarse_modes(spec, count, rng):
     """Modes on a coarse frequency lattice, so that products merge modes."""
     return [(1.1 * float(rng.choice([-1.0, -0.5, 0.5, 1.0])),
              tuple(float(x) for x in rng.integers(-1, 2, size=2)),
-             random_element(spec, int(rng.integers(0, 2**31)), 1.0).matrix())
+             spec.to_matrix(random_element(spec, int(rng.integers(0, 2**31)), 1.0)))
             for _ in range(count)]
 
 
@@ -155,7 +155,7 @@ def test_arrays_match_the_dict_algorithm(spec):
 
 
 def test_exact_cancellation_drops_the_mode():
-    c1, c2 = (random_element(su(2), seed, 1.0).matrix() for seed in (1, 2))
+    c1, c2 = (su(2).to_matrix(random_element(su(2), seed, 1.0)) for seed in (1, 2))
     modes = [(0.5, (1.0, 0.0), c1), (1.5, (0.0, 1.0), c2)]
     u = PlaneWaveField.from_modes(2, modes)
     # the pairs (1, 2) and (2, 1) meet at 2.0, (1.0, 1.0) and cancel exactly
@@ -170,7 +170,7 @@ def test_frequency_sums_on_negative_zero_are_folded():
     # -4e-10 rounds to -0.0, so the dict keys sum to -0.0; the arrays keep
     # 0.0.  Rescaled by 1e-12 both modes of u land on (0, 0, 0), one of them
     # through -1e-12, which rounds to -0.0.
-    c1, c2 = (random_element(su(2), seed, 1.0).matrix() for seed in (3, 4))
+    c1, c2 = (su(2).to_matrix(random_element(su(2), seed, 1.0)) for seed in (3, 4))
     mu = [(-4e-10, (-0.0, 1.0), c1), (-1.0, (0.0, -2.0), c2)]
     mv = [(-0.0, (-4e-10, 2.0), c2)]
     du, dv = _dict_from_modes(mu), _dict_from_modes(mv)
