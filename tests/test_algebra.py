@@ -54,6 +54,16 @@ def test_jacobi_identity(spec):
     assert np.max(np.abs(s)) < 1e-12
 
 
+def test_bracket_coeffs_agrees_with_bracket():
+    # in its orthonormal basis su(2) is R^3 with the bracket sqrt(2) x y
+    spec = su(2)
+    x = random_element(spec, 6, 1.0)
+    y = random_element(spec, 7, 1.0)
+    assert np.allclose(
+        bracket_coeffs(spec, x, y), np.sqrt(2.0) * np.cross(x, y), atol=1e-13
+    )
+
+
 @pytest.mark.parametrize("spec", SPECS, ids=str)
 @pytest.mark.parametrize("tail", [(), (16, 16), (5, 7), (4, 1, 6)])
 def test_bracket_coeffs_matches_einsum_reference(spec, tail):

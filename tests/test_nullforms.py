@@ -2,14 +2,16 @@ import numpy as np
 import pytest
 
 from ym2d.algebra import so, su
+from ym2d.estimates import _angle_between
 from ym2d.nullforms import (
     MULTIPLIER_SYMBOLS,
     Q_KINDS,
     SpacetimePair,
+    angle_bracket,
     calligraphic_q,
     null_form,
 )
-from ym2d.planewave import PlaneWaveField, random_field
+from ym2d.planewave import KEY_DECIMALS, PlaneWaveField, random_field
 from ym2d.spectral import GridField, TorusGrid
 
 
@@ -133,3 +135,44 @@ def test_lowercase_kinds_pre_apply_homogeneous_smoothing():
     assert big.norm() > 1.0
     assert (small - big * (1.0 / (2.0 * 3.0))).norm() < 1e-13
     assert set(("q0", "q01", "q02", "q12")).issubset(Q_KINDS)
+
+
+def test_q0_sec7_symbol_positive():
+    # on the Klein-Gordon characteristic tau = <xi>, lam = <eta> the Q0
+    # factor tau lam - xi.eta is <xi><eta> - xi.eta >= 1 (Cauchy-Schwarz),
+    # up to the rounding of the stored frequencies to KEY_DECIMALS
+    def factor(xi, eta, seed):
+        tau, lam = float(angle_bracket(*xi)), float(angle_bracket(*eta))
+        u, v = _wave(tau, xi, seed=seed), _wave(lam, eta, seed=seed + 1)
+        cu, cv = _coeff(u.value), _coeff(v.value)
+        comm = cu @ cv - cv @ cu
+        w = _coeff(null_form("Q0", u, v))
+        f = np.vdot(comm, w) / np.vdot(comm, comm)
+        assert np.max(np.abs(w - f * comm)) < 1e-12
+        (tu, *xu), (tv, *xv) = u.value.freqs[0], v.value.freqs[0]
+        assert abs(f - (tu * tv - float(np.dot(xu, xv)))) < 1e-12 * abs(f)
+        sizes = np.abs(np.concatenate(([tau, lam], xi, eta)))
+        return float(np.real(f)), float(np.sum(sizes)) * 10.0 ** -KEY_DECIMALS
+
+    f, tol = factor((1.0, 0.0), (0.0, 1.0), 9)
+    assert abs(f - 2.0) <= tol
+    rng = np.random.default_rng(0)
+    for k in range(20):
+        xi, eta = rng.standard_normal(2) * 5.0, rng.standard_normal(2) * 5.0
+        f, tol = factor(tuple(xi), tuple(eta), 10 + 2 * k)
+        assert f >= 1.0 - tol
+
+
+def test_sin_angle_range_and_known_values():
+    """The angle of the angle estimate lies in [0, pi] and its sine is the
+    |xi1 eta2 - xi2 eta1| / (|xi| |eta|) of the Gamma^1 angle term."""
+    assert _angle_between(1.0, 0.0, 0.0, 2.0) == pytest.approx(np.pi / 2)
+    assert _angle_between(-1.0, 0.0, 2.0, 0.0) == pytest.approx(np.pi)
+    # arccos near 1: a rounding of the cosine moves the angle by ~ sqrt(eps)
+    assert _angle_between(1.0, 1.0, 2.0, 2.0) == pytest.approx(0.0, abs=1e-7)
+    rng = np.random.default_rng(0)
+    a, b = rng.standard_normal((2, 2, 50))
+    angle = _angle_between(a[0], a[1], b[0], b[1])
+    assert np.all((angle >= 0.0) & (angle <= np.pi))
+    sin = np.abs(a[0] * b[1] - a[1] * b[0]) / (np.hypot(*a) * np.hypot(*b))
+    assert np.max(np.abs(np.sin(angle) - sin)) < 1e-12
